@@ -363,11 +363,11 @@ auditResidency(guestos::GuestKernel &kernel)
             const Gpfn bound = res.binding(h, idx);
             const std::uint64_t va = vma_start + idx * mem::pageSize;
 
-            // Re-derive the effective binding exactly as the legacy
-            // regionPage refresh would: trust the bound gpfn while
-            // the descriptor still maps this (process, va); otherwise
-            // ask the page table; keep the stale gpfn when the va is
-            // unmapped (balloon swap-out).
+            // Re-derive the effective binding by a lazy refresh:
+            // trust the bound gpfn while the descriptor still maps
+            // this (process, va); otherwise ask the page table; keep
+            // the stale gpfn when the va is unmapped (balloon
+            // swap-out).
             Gpfn effective = bound;
             const PageRef p = pages.page(bound);
             if (!p.allocated() || p.vaddr() != va ||

@@ -76,13 +76,13 @@ AuditResult auditKernel(guestos::GuestKernel &kernel);
 
 /**
  * Cross-check the kernel's ResidencyIndex against ground truth: for
- * every registered region index, re-derive the effective binding with
- * the legacy sampling rule (descriptor ownership checks, then a page-
- * table translate, else the stale binding) and the effective tier
- * through the placement oracle, and compare with the stored binding
- * bit and the running fast_total. This is the exhaustive form of the
- * legacy-sampling cross-check: zero divergence here means every
- * possible sample probe agrees between the two implementations.
+ * every registered region index, re-derive the effective binding
+ * from the page state (descriptor ownership checks, then a page-table
+ * translate, else the stale binding) and the effective tier through
+ * the placement oracle, and compare with the stored binding, its
+ * fast bit and the running fast_total. Zero divergence means every
+ * possible placement probe reads what a walk of the page descriptors
+ * and page tables would have found.
  */
 AuditResult auditResidency(guestos::GuestKernel &kernel);
 

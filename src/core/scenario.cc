@@ -51,15 +51,21 @@ setError(std::string *error, const std::string &what)
     return false;
 }
 
-/** Parse a non-negative number from scalar text (axis values, --set). */
+/**
+ * Parse a number from scalar text (axis values, --set). `out` is left
+ * untouched unless the whole text parses.
+ */
 bool
 parseNumber(const std::string &text, double &out)
 {
     if (text.empty())
         return false;
     char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end && *end == '\0';
+    const double v = std::strtod(text.c_str(), &end);
+    if (!end || *end != '\0')
+        return false;
+    out = v;
+    return true;
 }
 
 /**
@@ -75,23 +81,6 @@ exactU64(const std::string &text, double num)
         text.find_first_not_of("0123456789") == std::string::npos)
         return std::strtoull(text.c_str(), nullptr, 10);
     return static_cast<std::uint64_t>(num);
-}
-
-/**
- * One-time deprecation notice for the pre-`hotness` loose keys. The
- * keys keep parsing forever; the nag tells scenario authors where the
- * knob lives now.
- */
-void
-warnLooseHotnessKey(const std::string &key, const char *new_key)
-{
-    static bool warned = false;
-    if (warned)
-        return;
-    warned = true;
-    sim::warn("scenario key '%s' is deprecated; set it inside the "
-              "structured 'hotness' object (hotness.%s)",
-              key.c_str(), new_key);
 }
 
 bool
@@ -114,10 +103,9 @@ bool
 HotnessSpec::isDefault() const
 {
     return backend == "pte_scan" && !interval_ms && !pages_per_scan &&
-           !hot_threshold && !adaptive && !free_run_skip &&
-           !region_min && !region_max && !region_probes &&
-           !region_min_pages && !region_split_threshold &&
-           !region_merge_heat_delta && !legacy_placement_sampling;
+           !hot_threshold && !adaptive && !region_min && !region_max &&
+           !region_probes && !region_min_pages &&
+           !region_split_threshold && !region_merge_heat_delta;
 }
 
 vmm::HotnessConfig
@@ -137,8 +125,6 @@ HotnessSpec::apply(vmm::HotnessConfig base) const
         base.hot_threshold = static_cast<std::uint16_t>(*hot_threshold);
     if (adaptive)
         base.adaptive = *adaptive;
-    if (free_run_skip)
-        base.free_run_skip = *free_run_skip;
     if (region_min)
         base.region_min = *region_min;
     if (region_max)
@@ -285,8 +271,6 @@ scenarioToJson(sim::JsonWriter &w, const Scenario &s)
                  static_cast<std::uint64_t>(*h.hot_threshold));
         if (h.adaptive)
             w.kv("adaptive", *h.adaptive);
-        if (h.free_run_skip)
-            w.kv("free_run_skip", *h.free_run_skip);
         if (h.region_min)
             w.kv("region_min",
                  static_cast<std::uint64_t>(*h.region_min));
@@ -303,8 +287,6 @@ scenarioToJson(sim::JsonWriter &w, const Scenario &s)
         if (h.region_merge_heat_delta)
             w.kv("region_merge_heat_delta",
                  static_cast<std::uint64_t>(*h.region_merge_heat_delta));
-        if (h.legacy_placement_sampling)
-            w.kv("legacy_placement_sampling", true);
         w.endObject();
     }
     if (s.profiling)
@@ -432,66 +414,51 @@ applyScenarioParam(Scenario &s, const std::string &key,
             h.backend = value;
             return true;
         }
-        if (sub == "adaptive" || sub == "free_run_skip" ||
-            sub == "legacy_placement_sampling") {
+        if (sub == "adaptive") {
             bool on = false;
             if (!parseBool(value, on)) {
                 return setError(
                     error, "bad value '" + value + "' for '" + key + "'");
             }
-            if (sub == "adaptive")
-                h.adaptive = on;
-            else if (sub == "free_run_skip")
-                h.free_run_skip = on;
-            else
-                h.legacy_placement_sampling = on;
+            h.adaptive = on;
             return true;
         }
+        // Dispatch on the key before judging the value, so a retired
+        // or misspelled key reports as unknown whatever its value.
+        // The edit lands on a copy, committed once the value parses.
+        HotnessSpec next = h;
         double num = 0.0;
-        if (!parseNumber(value, num)) {
-            return setError(error,
-                            "bad value '" + value + "' for '" + key + "'");
-        }
+        const bool numeric = parseNumber(value, num);
         if (sub == "interval_ms") {
-            h.interval_ms = num;
+            next.interval_ms = num;
         } else if (sub == "pages_per_scan") {
-            h.pages_per_scan = exactU64(value, num);
+            next.pages_per_scan = exactU64(value, num);
         } else if (sub == "hot_threshold") {
-            h.hot_threshold = static_cast<std::uint32_t>(num);
+            next.hot_threshold = static_cast<std::uint32_t>(num);
         } else if (sub == "region_min") {
-            h.region_min = static_cast<std::uint32_t>(num);
+            next.region_min = static_cast<std::uint32_t>(num);
         } else if (sub == "region_max") {
-            h.region_max = static_cast<std::uint32_t>(num);
+            next.region_max = static_cast<std::uint32_t>(num);
         } else if (sub == "region_probes") {
-            h.region_probes = static_cast<std::uint32_t>(num);
+            next.region_probes = static_cast<std::uint32_t>(num);
         } else if (sub == "region_min_pages") {
-            h.region_min_pages = exactU64(value, num);
+            next.region_min_pages = exactU64(value, num);
         } else if (sub == "region_split_threshold") {
-            h.region_split_threshold = num;
+            next.region_split_threshold = num;
         } else if (sub == "region_merge_heat_delta") {
-            h.region_merge_heat_delta = static_cast<std::uint32_t>(num);
+            next.region_merge_heat_delta = static_cast<std::uint32_t>(num);
         } else {
             return setError(error,
                             "unknown hotness key '" + sub + "'");
         }
+        if (!numeric) {
+            return setError(error,
+                            "bad value '" + value + "' for '" + key + "'");
+        }
+        h = next;
         return true;
     }
 
-    // --- Deprecated loose hotness keys (pre-`hotness` spellings) ---
-    if (key == "legacy_placement_sampling" || key == "adaptive" ||
-        key == "free_run_skip") {
-        warnLooseHotnessKey(key, key.c_str());
-        return applyScenarioParam(s, "hotness." + key, value, error);
-    }
-    if (key == "interval") {
-        warnLooseHotnessKey(key, "interval_ms");
-        return applyScenarioParam(s, "hotness.interval_ms", value,
-                                  error);
-    }
-    if (key == "pages_per_scan" || key == "hot_threshold") {
-        warnLooseHotnessKey(key, key.c_str());
-        return applyScenarioParam(s, "hotness." + key, value, error);
-    }
     if (key == "profiling") {
         if (value == "true" || value == "1") {
             s.profiling = true;
@@ -526,30 +493,35 @@ applyScenarioParam(Scenario &s, const std::string &key,
         return true;
     }
 
+    // Numeric keys: as for hotness.*, an unknown key is reported as
+    // such before its value is judged, and the edit lands on a copy.
+    Scenario next = s;
     double num = 0.0;
-    if (!parseNumber(value, num))
-        return setError(error,
-                        "bad value '" + value + "' for '" + key + "'");
+    const bool numeric = parseNumber(value, num);
     const auto bytes = [&]() { return exactU64(value, num); };
     if (key == "slow_lat_factor" || key == "slow_lat") {
-        s.slow_lat_factor = num;
+        next.slow_lat_factor = num;
     } else if (key == "slow_bw_factor" || key == "slow_bw") {
-        s.slow_bw_factor = num;
+        next.slow_bw_factor = num;
     } else if (key == "fast_bytes") {
-        s.fast_bytes = bytes();
+        next.fast_bytes = bytes();
     } else if (key == "slow_bytes") {
-        s.slow_bytes = bytes();
+        next.slow_bytes = bytes();
     } else if (key == "llc_bytes") {
-        s.llc_bytes = bytes();
+        next.llc_bytes = bytes();
     } else if (key == "scale") {
-        s.scale = num;
+        next.scale = num;
     } else if (key == "seed") {
-        s.seed = bytes();
+        next.seed = bytes();
     } else if (key == "cpus") {
-        s.cpus = static_cast<unsigned>(num);
+        next.cpus = static_cast<unsigned>(num);
     } else {
         return setError(error, "unknown scenario key '" + key + "'");
     }
+    if (!numeric)
+        return setError(error,
+                        "bad value '" + value + "' for '" + key + "'");
+    s = std::move(next);
     return true;
 }
 

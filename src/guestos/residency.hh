@@ -2,38 +2,38 @@
  * @file
  * ResidencyIndex: incremental per-region per-tier residency accounting.
  *
- * The workload engine historically re-derived tier placement every
- * phase by sampling: probe up to 512 region indices, chase each index
- * through the (possibly stale) cached gpfn, the page descriptor, and
- * the backing oracle. That re-derivation is pure waste — the
- * allocator, migration front-end/engine, ballooning, and swap paths
- * already know every placement change at the instant it happens (the
- * same transition points hos::check's page-state validators
- * instrument).
+ * Re-deriving tier placement every phase — probe up to 512 region
+ * indices, chase each index through the (possibly stale) cached gpfn,
+ * the page descriptor, and the backing oracle — would be pure waste:
+ * the allocator, migration front-end/engine, ballooning, and swap
+ * paths already know every placement change at the instant it
+ * happens (the same transition points hos::check's page-state
+ * validators instrument).
  *
  * This index turns those transitions into O(1) updates of per-region
  * state so the per-phase pipeline reads placement instead of
  * re-deriving it:
  *
- *  - `bound[idx]` — the gpfn currently backing region index `idx`,
- *    maintained with exactly the legacy `Workload::regionPage`
- *    refresh semantics (see below), so a region-index lookup is one
+ *  - `bound[idx]` — the gpfn currently backing region index `idx`
+ *    (binding invariant below), so `Workload::regionPage` is one
  *    vector read instead of descriptor checks + page-table walks.
  *  - one bit per index — whether that binding is FastMem-backed —
  *    plus a running `fast_total`, so `sampleFastFraction` windows are
  *    answered by masked popcounts (exhaustive windows) or single bit
- *    probes (sparse sampling), bit-identically to the legacy probes.
+ *    probes (sparse sampling), exactly as per-index probes would.
  *
- * Binding invariant (mirrors legacy regionPage): index `idx` of a
- * region at `vma_start` corresponds to va = vma_start + idx*pageSize.
- * When that va is remapped (migration, demotion), the binding is
- * re-pointed eagerly via onRemap(). When the va is *unmapped*
- * (balloon swap-out), the binding deliberately keeps the stale gpfn —
- * the legacy code's translate() refresh fails for unmapped vas and
- * keeps the cached gpfn too, and no refault path re-populates the va
- * before the region is released. Eager rebind is therefore
- * observationally identical to the legacy lazy refresh: nothing reads
- * a binding between a transition and its next use.
+ * Binding invariant: index `idx` of a region at `vma_start`
+ * corresponds to va = vma_start + idx*pageSize. The binding is the
+ * gpfn a lazy refresh would find: the cached gpfn while its
+ * descriptor still maps (process, va), else the page table's
+ * translation. When that va is remapped (migration, demotion), the
+ * binding is re-pointed eagerly via onRemap(). When the va is
+ * *unmapped* (balloon swap-out), the binding deliberately keeps the
+ * stale gpfn — a translate() of an unmapped va fails, so the lazy
+ * refresh would keep the cached gpfn too, and no refault path
+ * re-populates the va before the region is released. Eager rebind is
+ * therefore observationally identical to a lazy refresh: nothing
+ * reads a binding between a transition and its next use.
  *
  * Tier state per binding comes from GuestKernel::backingOf. In
  * identity mode (no backing oracle) a binding's tier is fixed by its
@@ -44,8 +44,8 @@
  * via onTierChange().
  *
  * check::auditResidency re-derives every binding and bit from first
- * principles (the legacy sampling rule, exhaustively) and is wired
- * into the full-level audits as the optimized-vs-legacy cross-check.
+ * principles (the lazy refresh above plus the backing oracle, for
+ * every index) and is wired into the full-level audits.
  */
 
 #ifndef HOS_GUESTOS_RESIDENCY_HH
@@ -109,7 +109,7 @@ class ResidencyIndex
         return rec(h).bound.size();
     }
 
-    /** The gpfn bound to region index `idx` (legacy regionPage). */
+    /** The gpfn bound to region index `idx` (see binding invariant). */
     Gpfn binding(RegionHandle h, std::uint64_t idx) const
     {
         const RegionRec &r = rec(h);

@@ -16,7 +16,6 @@ constexpr std::uint64_t placementSample = 512;
 
 Workload::Workload(VmEnv env, std::string name)
     : env_(std::move(env)), name_(std::move(name)),
-      legacy_sampling_(env_.legacy_placement_sampling),
       rng_(env_.kernel->config().seed ^ 0x3017ull)
 {
     hos_assert(env_.kernel && env_.llc && env_.device,
@@ -115,7 +114,6 @@ Workload::makeAnonRegion(const std::string &name, std::uint64_t bytes,
 {
     Region r;
     r.name = name;
-    r.type = guestos::PageType::Anon;
     r.temporal = temporal;
     r.mlp = mlp;
     r.write_frac = write_frac;
@@ -171,30 +169,12 @@ Workload::releaseRegion(Region &r)
 guestos::Gpfn
 Workload::regionPage(Region &r, std::uint64_t idx)
 {
-    if (!legacy_sampling_ && r.type == guestos::PageType::Anon &&
-        r.residency != guestos::invalidRegionHandle) {
-        // The residency index re-points bindings eagerly at every
-        // remap, with the same stale-on-unmap semantics as the lazy
-        // refresh below — one vector read replaces the descriptor
-        // checks and occasional page-table walk.
-        const guestos::Gpfn pfn =
-            kernel().residency().binding(r.residency, idx);
-        r.pages[idx] = pfn;
-        return pfn;
-    }
-    guestos::Gpfn pfn = r.pages[idx];
-    if (r.type != guestos::PageType::Anon)
-        return pfn;
-    const std::uint64_t va = r.vma_start + idx * mem::pageSize;
-    const guestos::PageRef p = kernel().pageMeta(pfn);
-    if (!p.allocated() || p.vaddr() != va ||
-        p.owner_process() != mainProcess().pid()) {
-        // Stale: the page was demoted/promoted to a different frame.
-        if (auto cur = mainProcess().translate(va)) {
-            r.pages[idx] = *cur;
-            pfn = *cur;
-        }
-    }
+    // The residency index re-points bindings eagerly at every remap
+    // and keeps the stale gpfn across an unmap, so its binding is
+    // always the frame a descriptor check + page-table walk would find.
+    const guestos::Gpfn pfn =
+        kernel().residency().binding(r.residency, idx);
+    r.pages[idx] = pfn;
     return pfn;
 }
 
@@ -207,47 +187,20 @@ Workload::sampleWindowFast(Region &r, std::uint64_t start,
     const std::uint64_t size = r.pages.size();
     const std::uint64_t n =
         std::min<std::uint64_t>(placementSample, count);
+    auto &res = kernel().residency();
     std::uint64_t fast = 0;
-    if (!legacy_sampling_ && r.type == guestos::PageType::Anon &&
-        r.residency != guestos::invalidRegionHandle) {
-        auto &res = kernel().residency();
-        if (n == count) {
-            // Exhaustive window: the even sampling visits exactly
-            // the consecutive circular range [start, start+count),
-            // which the index answers with masked popcounts.
-            fast = res.fastInRange(r.residency, start % size, count);
-        } else {
-            for (std::uint64_t i = 0; i < n; ++i) {
-                const std::uint64_t idx =
-                    (start + (i * count) / n) % size;
-                fast += res.fastBit(r.residency, idx) ? 1 : 0;
-            }
-        }
+    if (n == count) {
+        // Exhaustive window: the even sampling visits exactly the
+        // consecutive circular range [start, start+count), which the
+        // index answers with masked popcounts.
+        fast = res.fastInRange(r.residency, start % size, count);
     } else {
-        if (n == count) {
-            // Exhaustive window: consecutive indices, so the modulo
-            // reduces to a conditional wrap.
-            std::uint64_t idx = start % size;
-            for (std::uint64_t i = 0; i < n; ++i) {
-                if (kernel().backingOf(regionPage(r, idx)) ==
-                    mem::MemType::FastMem) {
-                    ++fast;
-                }
-                if (++idx == size)
-                    idx = 0;
-            }
-        } else {
-            for (std::uint64_t i = 0; i < n; ++i) {
-                // Even sampling keeps the estimate deterministic and
-                // unbiased w.r.t. migrations. The window is circular
-                // over the region (hot sets drift).
-                const std::uint64_t idx =
-                    (start + (i * count) / n) % size;
-                if (kernel().backingOf(regionPage(r, idx)) ==
-                    mem::MemType::FastMem) {
-                    ++fast;
-                }
-            }
+        for (std::uint64_t i = 0; i < n; ++i) {
+            // Even sampling keeps the estimate deterministic and
+            // unbiased w.r.t. migrations. The window is circular over
+            // the region (hot sets drift).
+            const std::uint64_t idx = (start + (i * count) / n) % size;
+            fast += res.fastBit(r.residency, idx) ? 1 : 0;
         }
     }
     return static_cast<double>(fast) / static_cast<double>(n);
@@ -319,7 +272,7 @@ Workload::markRegionAccessed(Region &r)
         const guestos::Gpfn pfn = regionPage(r, idx);
         const guestos::PageRef p = kernel().pageMeta(pfn);
         kernel().lruTouch(pfn);
-        if (r.type == guestos::PageType::Anon && p.vaddr() != 0)
+        if (p.vaddr() != 0)
             as.pageTable().touch(p.vaddr(), write);
         if (++idx == size)
             idx = 0;

@@ -53,21 +53,13 @@ struct VmEnv
     std::function<unsigned()> sharers = [] { return 1u; };
     /** Report cumulative LLC misses (Equation 1 input); optional. */
     std::function<void(std::uint64_t)> report_misses;
-    /**
-     * Use the legacy per-phase placement *sampling* instead of the
-     * incremental ResidencyIndex. The two are bit-identical (the
-     * golden-determinism test and check::auditResidency enforce it);
-     * the legacy path is retained as the cross-check.
-     */
-    bool legacy_placement_sampling = false;
 };
 
 /** A workload-managed set of pages with a locality profile. */
 struct Region
 {
     std::string name;
-    guestos::PageType type = guestos::PageType::Anon;
-    std::uint64_t vma_start = 0;       ///< anon regions: VMA base
+    std::uint64_t vma_start = 0;       ///< VMA base
     std::vector<guestos::Gpfn> pages;  ///< current page set
     std::uint64_t wss_pages = 0;       ///< hot-window size
     double temporal = 0.3;             ///< LLC temporal locality
@@ -96,7 +88,7 @@ struct Region
     std::uint64_t window_start = 0;    ///< current hot-window origin
     std::uint64_t mark_cursor = 0;     ///< rotating accessed-bit slice
     bool oom_warned = false;           ///< growRegion warn-once latch
-    /** ResidencyIndex registration (anon regions). */
+    /** ResidencyIndex registration (makeAnonRegion always sets it). */
     guestos::RegionHandle residency = guestos::invalidRegionHandle;
 };
 
@@ -238,9 +230,8 @@ class Workload
     /**
      * The gpfn currently backing region index `idx`. Migration and
      * demotion change a virtual page's frame behind the region's
-     * back; this refreshes the cached gpfn from the page table when
-     * it went stale (anon regions are VA-contiguous, so the index
-     * maps directly to a virtual address).
+     * back; the ResidencyIndex re-points its binding at every remap,
+     * and this refreshes the region's cached gpfn from it.
      */
     guestos::Gpfn regionPage(Region &r, std::uint64_t idx);
 
@@ -253,7 +244,6 @@ class Workload
 
     VmEnv env_;
     std::string name_;
-    bool legacy_sampling_ = false;
     sim::Rng rng_;
     guestos::AddressSpace *main_process_ = nullptr;
 

@@ -120,6 +120,17 @@ TEST(Analyze, DisablingTheRuleSilencesItsFixture)
     }
 }
 
+TEST(Analyze, RetiredApiCoversRemovedLegacyArms)
+{
+    // Beyond the pre-Scenario names, the fixture's removed balloon
+    // cross-check switch fires with its own replacement hint.
+    const auto fs = analyzeFixture("bad_retired_api.cc", "src/fix.cc");
+    EXPECT_TRUE(std::any_of(fs.begin(), fs.end(), [](const Finding &f) {
+        return f.rule == "retired-api" &&
+               f.message.find("peek/commit") != std::string::npos;
+    }));
+}
+
 TEST(Analyze, CleanFixtureIsQuiet)
 {
     const auto fs = analyzeFixture("clean.cc", "src/clean.cc");

@@ -297,7 +297,7 @@ TEST_F(AuditFixture, ResidencyBitDriftIsResidency)
     }
     res.enableTierNotifications();
 
-    // Positive control: the index agrees with the legacy re-derivation.
+    // Positive control: the index agrees with the audit's re-derivation.
     ASSERT_TRUE(check::auditResidency(*kernel).ok());
 
     // The corruption: a tier notification that never happened — the

@@ -3,11 +3,13 @@
  * Pluggable hotness backends: region-tracker invariants (bounded
  * count, full coverage, no overlap), the flat-cost sampling property,
  * split/merge adaptation, backend selection through the Scenario
- * hotness spec (JSON round-trip, deprecated loose keys, sweep axes),
+ * hotness spec (JSON round-trip, retired loose keys, sweep axes),
  * and region-backend determinism.
  */
 
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "core/experiment.hh"
 #include "guestos/kernel.hh"
@@ -290,7 +292,6 @@ TEST(HotnessSpec, ScenarioJsonRoundTrip)
     spec.hot_threshold = 80;
     spec.region_max = 128;
     spec.region_split_threshold = 0.5;
-    spec.legacy_placement_sampling = true;
     const core::Scenario s = core::Scenario{}.withHotness(spec);
 
     const std::string json = core::scenarioToJson(s);
@@ -306,7 +307,6 @@ TEST(HotnessSpec, ScenarioJsonRoundTrip)
     EXPECT_EQ(parsed->hotness.region_max, 128u);
     ASSERT_TRUE(parsed->hotness.region_split_threshold.has_value());
     EXPECT_DOUBLE_EQ(*parsed->hotness.region_split_threshold, 0.5);
-    EXPECT_TRUE(parsed->hotness.legacy_placement_sampling);
     // Unset knobs stay unset (so approach defaults still apply).
     EXPECT_FALSE(parsed->hotness.pages_per_scan.has_value());
     EXPECT_FALSE(parsed->hotness.adaptive.has_value());
@@ -316,7 +316,7 @@ TEST(HotnessSpec, ScenarioJsonRoundTrip)
               std::string::npos);
 }
 
-TEST(HotnessSpec, SweepAxisKeysAndDeprecatedShims)
+TEST(HotnessSpec, SweepAxisKeysAndRetiredShims)
 {
     core::Scenario s;
     std::string err;
@@ -332,33 +332,42 @@ TEST(HotnessSpec, SweepAxisKeysAndDeprecatedShims)
     EXPECT_FALSE(
         core::applyScenarioParam(s, "hotness.bogus", "1", &err));
 
-    // Deprecated loose keys still parse, into the structured spec.
-    // This block deliberately exercises the compatibility shims.
-    core::Scenario old;
-    EXPECT_TRUE(core::applyScenarioParam(
-        // hos-analyze: loose-hotness-key (shim under test)
-        old, "legacy_placement_sampling", "1", &err));
-    EXPECT_TRUE(old.hotness.legacy_placement_sampling);
-    // hos-analyze: loose-hotness-key (shim under test)
-    EXPECT_TRUE(core::applyScenarioParam(old, "interval", "75", &err));
-    ASSERT_TRUE(old.hotness.interval_ms.has_value());
-    EXPECT_DOUBLE_EQ(*old.hotness.interval_ms, 75.0);
-    EXPECT_TRUE(
-        // hos-analyze: loose-hotness-key (shim under test)
-        core::applyScenarioParam(old, "hot_threshold", "90", &err));
-    EXPECT_EQ(old.hotness.hot_threshold, 90u);
-    // hos-analyze: loose-hotness-key (shim under test)
-    EXPECT_TRUE(core::applyScenarioParam(old, "adaptive", "true", &err));
-    EXPECT_EQ(old.hotness.adaptive, true);
+    // The retired loose top-level keys and the removed cross-check
+    // switches are rejected as unknown keys, whatever their value,
+    // and leave the scenario untouched.
+    const std::pair<const char *, const char *> retired[] = {
+        {"interval", "75"}, // hos-analyze: loose-hotness-key (rejected)
+        {"legacy_placement_sampling", "1"},
+        {"legacy_placement_sampling", "true"},
+        {"hotness.free_run_skip", "1"},
+        {"hotness.free_run_skip", "true"},
+        {"hotness.legacy_placement_sampling", "1"},
+    };
+    const std::string before = core::scenarioToJson(s);
+    for (const auto &[key, value] : retired) {
+        err.clear();
+        EXPECT_FALSE(core::applyScenarioParam(s, key, value, &err))
+            << key;
+        EXPECT_NE(err.find("unknown"), std::string::npos)
+            << key << ": " << err;
+        EXPECT_NE(err.find("key"), std::string::npos)
+            << key << ": " << err;
+    }
+    // Known keys with unparsable values still say so.
+    for (const char *key : {"hotness.interval_ms", "scale"}) {
+        EXPECT_FALSE(core::applyScenarioParam(s, key, "fast", &err));
+        EXPECT_NE(err.find("bad value"), std::string::npos) << err;
+    }
+    EXPECT_EQ(core::scenarioToJson(s), before);
 
-    // And the old top-level JSON shape still loads.
+    // The same holds for the old top-level JSON shape.
     const auto doc = sim::jsonParse(
-        // hos-analyze: loose-hotness-key (old JSON shape under test)
         R"({"app": "graphchi", "legacy_placement_sampling": true})");
     ASSERT_TRUE(doc.has_value());
-    const auto parsed = core::scenarioFromJson(*doc, &err);
-    ASSERT_TRUE(parsed.has_value()) << err;
-    EXPECT_TRUE(parsed->hotness.legacy_placement_sampling);
+    err.clear();
+    EXPECT_FALSE(core::scenarioFromJson(*doc, &err).has_value());
+    EXPECT_NE(err.find("unknown scenario key"), std::string::npos)
+        << err;
 }
 
 TEST(HotnessSpec, RegionBackendRunsDeterministically)

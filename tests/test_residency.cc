@@ -2,8 +2,8 @@
  * @file
  * ResidencyIndex: the incremental per-region per-tier accounting the
  * workload engine reads instead of re-deriving placement by sampling.
- * Each test compares the index against ground truth recomputed the
- * legacy way (descriptor + backingOf per index).
+ * Each test compares the index against ground truth recomputed page
+ * by page (descriptor + backingOf per index).
  */
 
 #include <gtest/gtest.h>
@@ -40,7 +40,7 @@ struct ResidencyFixture : ::testing::Test
         }
     }
 
-    /** Legacy ground truth: FastMem-backed count over all indices. */
+    /** Ground truth: FastMem-backed count over all indices. */
     std::uint64_t
     recountFast()
     {

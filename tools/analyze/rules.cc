@@ -35,17 +35,35 @@ struct LooseKey {
     const char *key;
     const char *structured;
 };
-const std::array<LooseKey, 6> kLooseKeys = {{
+const std::array<LooseKey, 4> kLooseKeys = {{
     {"interval", "hotness.interval_ms"},
     {"pages_per_scan", "hotness.pages_per_scan"},
     {"hot_threshold", "hotness.hot_threshold"},
     {"adaptive", "hotness.adaptive"},
-    {"free_run_skip", "hotness.free_run_skip"},
-    {"legacy_placement_sampling", "hotness.legacy_placement_sampling"},
 }};
 
-const std::array<const char *, 4> kRetiredApis = {"RunSpec", "runApp",
-                                                 "runFactory", "hostFor"};
+/** A removed API name and what replaced it. */
+struct RetiredApi {
+    const char *name;
+    const char *instead;
+};
+const std::array<RetiredApi, 10> kRetiredApis = {{
+    {"RunSpec", "use core::Scenario / run()"},
+    {"runApp", "use core::Scenario / run()"},
+    {"runFactory", "use core::Scenario / run()"},
+    {"hostFor", "use core::Scenario / run()"},
+    // Legacy cross-check arms, retired once golden fingerprints
+    // pinned what they cross-checked.
+    {"setLegacyPlacementSampling",
+     "the ResidencyIndex is the only placement sampler"},
+    {"withLegacySampling",
+     "the ResidencyIndex is the only placement sampler"},
+    {"legacy_placement_sampling",
+     "the ResidencyIndex is the only placement sampler"},
+    {"setLegacyBalloonPath", "peek/commit is the only balloon path"},
+    {"setLegacyPath", "peek/commit is the only balloon path"},
+    {"free_run_skip", "full-VM sweeps always skip free runs"},
+}};
 
 /**
  * PageArray's SoA columns (trailing-underscore members) and the page
@@ -958,7 +976,7 @@ class FileAnalysis
             for (const LooseKey &lk : kLooseKeys) {
                 if (looseKeyInLiteral(tok.text, lk.key)) {
                     emit("loose-hotness-key", tok,
-                         std::string("deprecated loose hotness key '") +
+                         std::string("retired loose hotness key '") +
                              lk.key + "'; use the structured '" +
                              lk.structured + "' spelling");
                     break;
@@ -999,11 +1017,11 @@ class FileAnalysis
         for (const Token &tok : t) {
             if (tok.kind != Token::Kind::Ident)
                 continue;
-            for (const char *name : kRetiredApis) {
-                if (tok.text == name) {
+            for (const RetiredApi &api : kRetiredApis) {
+                if (tok.text == api.name) {
                     emit("retired-api", tok,
-                         std::string("retired pre-Scenario API name '") +
-                             name + "'; use core::Scenario / run()");
+                         std::string("retired API name '") + api.name +
+                             "'; " + api.instead);
                     break;
                 }
             }

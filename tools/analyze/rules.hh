@@ -25,9 +25,10 @@
  *                    metrics::active() observation blocks
  *
  * Hygiene (API lifecycle):
- *   loose-hotness-key deprecated loose hotness keys in scenario
+ *   loose-hotness-key retired loose hotness keys in scenario
  *                     literals (tests/bench/examples)
- *   retired-api      retired pre-Scenario API names anywhere
+ *   retired-api      retired API names anywhere (pre-Scenario run
+ *                    entry points, removed legacy cross-check arms)
  *   soa-field-write  page-metadata writes bypassing the PageRef
  *                    facade (direct SoA column access or AoS-style
  *                    field assignment)

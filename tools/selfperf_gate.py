@@ -10,9 +10,6 @@ per host second; higher is better) against the most recent history
 record that measured the same run. A drop beyond the threshold
 (default 15%) fails the gate.
 
-Legacy cross-check runs (`<name>/legacy`) are exempt: they pin the
-pre-optimization implementation, whose cost is not a product property.
-
 Usage: selfperf_gate.py [summary.json] [--threshold=0.15]
 """
 
@@ -44,7 +41,7 @@ def main(argv):
     regressions = []
     compared = 0
     for name, run in summary.get("runs", {}).items():
-        if name.endswith("/legacy") or name not in prev:
+        if name not in prev:
             continue
         before = prev[name].get("sim_ns_per_host_s", 0.0)
         after = run.get("sim_ns_per_host_s", 0.0)
