@@ -36,12 +36,15 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/report.hh"
+#include "sim/flags.hh"
 #include "sim/json.hh"
 #include "xray/report.hh"
 #include "xray/xray.hh"
@@ -65,49 +68,10 @@ usage()
         "  --run=N       sweep aggregate: which run to read (default 0)");
 }
 
-const char *const kKnownFlags[] = {
+const std::vector<const char *> kKnownFlags = {
     "--page=", "--vm=", "--at=", "--top=", "--top",
     "--promoted", "--demoted", "--run=",
 };
-
-std::size_t
-editDistance(const std::string &a, const std::string &b)
-{
-    std::vector<std::size_t> row(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j)
-        row[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        std::size_t diag = row[0];
-        row[0] = i;
-        for (std::size_t j = 1; j <= b.size(); ++j) {
-            const std::size_t up = row[j];
-            const std::size_t sub = diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-            row[j] = std::min({row[j] + 1, row[j - 1] + 1, sub});
-            diag = up;
-        }
-    }
-    return row[b.size()];
-}
-
-/** The known flag nearest to `arg` (compared on the name, sans '='). */
-std::string
-nearestFlag(const std::string &arg)
-{
-    const std::string name = arg.substr(0, arg.find('='));
-    std::string best;
-    std::size_t best_d = ~std::size_t(0);
-    for (const char *f : kKnownFlags) {
-        std::string fname = f;
-        if (!fname.empty() && fname.back() == '=')
-            fname.pop_back();
-        const std::size_t d = editDistance(name, fname);
-        if (d < best_d) {
-            best_d = d;
-            best = fname;
-        }
-    }
-    return best;
-}
 
 bool
 loadXray(const std::string &path, std::size_t run_idx,
@@ -116,41 +80,11 @@ loadXray(const std::string &path, std::size_t run_idx,
     const auto doc = sim::jsonParseFile(path, &error);
     if (!doc)
         return false;
-    if (!doc->isObject()) {
-        error = "top level is not an object";
+    const auto *x = core::reportSection(*doc, "xray", run_idx, error);
+    if (x == nullptr)
         return false;
-    }
-    if (const auto *x = doc->find("xray")) {
-        out = xray::xrayReportFromJson(*x, &error);
-        return error.empty();
-    }
-    if (const auto *runs = doc->find("runs")) {
-        if (!runs->isArray()) {
-            error = "\"runs\" is not an array";
-            return false;
-        }
-        std::size_t idx = 0;
-        for (const auto &run : runs->array) {
-            const auto *record = run.find("record");
-            const auto *x =
-                record != nullptr ? record->find("xray") : nullptr;
-            if (x == nullptr)
-                continue;
-            if (idx++ != run_idx)
-                continue;
-            out = xray::xrayReportFromJson(*x, &error);
-            return error.empty();
-        }
-        error = idx == 0
-                    ? "no run in \"runs\" carries an xray section "
-                      "(was the sweep run with xray on?)"
-                    : "--run index past the " + std::to_string(idx) +
-                          " xray-carrying run(s)";
-        return false;
-    }
-    error = "no \"xray\" object and no \"runs\" array "
-            "(produce input with run_experiment --xray --results=...)";
-    return false;
+    out = xray::xrayReportFromJson(*x, &error);
+    return error.empty();
 }
 
 const char *
@@ -272,14 +206,14 @@ printSummary(const xray::XrayReport &report)
 
 /** VM filter: all VMs when `vm_id` is unset. */
 bool
-vmSelected(const xray::XrayVm &vm, std::optional<unsigned> vm_id)
+vmSelected(const xray::XrayVm &vm, std::optional<std::uint64_t> vm_id)
 {
     return !vm_id || vm.vm == *vm_id;
 }
 
 int
 explainPage(const xray::XrayReport &report, std::uint64_t gpfn,
-            std::optional<unsigned> vm_id,
+            std::optional<std::uint64_t> vm_id,
             std::optional<std::uint64_t> at)
 {
     for (const auto &vm : report.vms) {
@@ -332,7 +266,7 @@ explainPage(const xray::XrayReport &report, std::uint64_t gpfn,
 
 int
 listMoves(const xray::XrayReport &report, xray::EventKind kind,
-          std::optional<unsigned> vm_id)
+          std::optional<std::uint64_t> vm_id)
 {
     std::uint64_t n = 0;
     for (const auto &vm : report.vms) {
@@ -359,7 +293,7 @@ listMoves(const xray::XrayReport &report, xray::EventKind kind,
 
 int
 listTop(const xray::XrayReport &report, std::uint64_t top,
-        std::optional<unsigned> vm_id)
+        std::optional<std::uint64_t> vm_id)
 {
     std::uint64_t n = 0;
     for (const auto &vm : report.vms) {
@@ -386,45 +320,44 @@ listTop(const xray::XrayReport &report, std::uint64_t top,
 int
 main(int argc, char **argv)
 {
-    std::optional<std::uint64_t> page;
-    std::optional<unsigned> vm_id;
-    std::optional<std::uint64_t> at;
-    std::optional<std::uint64_t> top;
+    std::optional<std::uint64_t> page, vm_id, at, top, run;
     bool promoted = false;
     bool demoted = false;
-    std::size_t run_idx = 0;
+    // Numeric values parse strictly: "--run=abc" is an error, not
+    // run 0.
+    const std::pair<const char *, std::optional<std::uint64_t> *>
+        numeric[] = {{"--page=", &page}, {"--vm=", &vm_id},
+                     {"--at=", &at},     {"--top=", &top},
+                     {"--run=", &run}};
 
     // Flags and the results file may come in any order.
     const char *file = nullptr;
     for (int arg = 1; arg < argc; ++arg) {
         const std::string a = argv[arg];
+        const auto *num = std::find_if(
+            std::begin(numeric), std::end(numeric),
+            [&](const auto &f) { return a.rfind(f.first, 0) == 0; });
         if (std::strncmp(argv[arg], "--", 2) != 0) {
             if (file) {
                 usage();
                 return 2;
             }
             file = argv[arg];
-        } else if (a.rfind("--page=", 0) == 0) {
-            page = std::strtoull(a.c_str() + 7, nullptr, 0);
-        } else if (a.rfind("--vm=", 0) == 0) {
-            vm_id = static_cast<unsigned>(
-                std::strtoul(a.c_str() + 5, nullptr, 0));
-        } else if (a.rfind("--at=", 0) == 0) {
-            at = std::strtoull(a.c_str() + 5, nullptr, 0);
-        } else if (a.rfind("--top=", 0) == 0) {
-            top = std::strtoull(a.c_str() + 6, nullptr, 0);
+        } else if (num != std::end(numeric)) {
+            std::uint64_t n = 0;
+            if (!sim::flagValue(a, n)) {
+                usage();
+                return 2;
+            }
+            *num->second = n;
         } else if (a == "--top") {
             top = 10;
         } else if (a == "--promoted") {
             promoted = true;
         } else if (a == "--demoted") {
             demoted = true;
-        } else if (a.rfind("--run=", 0) == 0) {
-            run_idx = std::strtoull(a.c_str() + 6, nullptr, 0);
         } else {
-            std::fprintf(stderr,
-                         "unknown option '%s' (did you mean '%s'?)\n",
-                         argv[arg], nearestFlag(a).c_str());
+            sim::reportBadFlag("unknown option", a, kKnownFlags);
             usage();
             return 2;
         }
@@ -436,7 +369,7 @@ main(int argc, char **argv)
 
     xray::XrayReport report;
     std::string error;
-    if (!loadXray(file, run_idx, report, error)) {
+    if (!loadXray(file, run.value_or(0), report, error)) {
         std::fprintf(stderr, "%s: %s\n", file, error.c_str());
         return 2;
     }

@@ -30,6 +30,7 @@
 #include "core/report.hh"
 #include "metrics/metrics.hh"
 #include "metrics/report.hh"
+#include "sim/flags.hh"
 #include "sim/table.hh"
 #include "vmm/drf.hh"
 #include "vmm/max_min.hh"
@@ -125,11 +126,11 @@ main(int argc, char **argv)
         } else if (a.rfind("--backend=", 0) == 0) {
             backend = a.substr(10);
         } else {
-            std::fprintf(stderr,
-                         "unknown option '%s'\nusage: multi_tenant_drf "
-                         "[--metrics] [--results=FILE] "
-                         "[--backend=pte_scan|region]\n",
-                         argv[arg]);
+            sim::reportBadFlag("unknown option", a,
+                               {"--metrics", "--results=", "--backend="});
+            std::fprintf(stderr, "usage: multi_tenant_drf [--metrics] "
+                                 "[--results=FILE] "
+                                 "[--backend=pte_scan|region]\n");
             return 2;
         }
     }

@@ -23,14 +23,16 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
+#include "core/report.hh"
 #include "prof/diff.hh"
 #include "prof/report.hh"
+#include "sim/flags.hh"
 #include "sim/json.hh"
 
 using namespace hos;
@@ -49,6 +51,10 @@ usage()
         "  --json=FILE      write the diff as JSON");
 }
 
+const std::vector<const char *> kKnownFlags = {
+    "--threshold=", "--exact", "--json=",
+};
+
 /**
  * Pull the profile ledger out of a results file: either a single
  * record's top-level "profile", or the sum over a sweep aggregate's
@@ -61,45 +67,13 @@ loadProfile(const std::string &path, prof::ProfileReport &out,
     const auto doc = sim::jsonParseFile(path, &error);
     if (!doc)
         return false;
-    if (!doc->isObject()) {
-        error = "top level is not an object";
-        return false;
-    }
-
-    if (const auto *profile = doc->find("profile")) {
-        out = prof::profileReportFromJson(*profile, &error);
-        return error.empty();
-    }
-
-    if (const auto *runs = doc->find("runs")) {
-        if (!runs->isArray()) {
-            error = "\"runs\" is not an array";
+    const auto sections = core::reportSections(*doc, "profile", error);
+    for (const auto *profile : sections) {
+        prof::mergeInto(out, prof::profileReportFromJson(*profile, &error));
+        if (!error.empty())
             return false;
-        }
-        bool found = false;
-        for (const auto &run : runs->array) {
-            const auto *record = run.find("record");
-            const auto *profile =
-                record != nullptr ? record->find("profile") : nullptr;
-            if (profile == nullptr)
-                continue;
-            auto one = prof::profileReportFromJson(*profile, &error);
-            if (!error.empty())
-                return false;
-            prof::mergeInto(out, one);
-            found = true;
-        }
-        if (!found) {
-            error = "no run in \"runs\" carries a profile "
-                    "(was the sweep run with profiling on?)";
-            return false;
-        }
-        return true;
     }
-
-    error = "no \"profile\" object and no \"runs\" array "
-            "(produce input with run_experiment --prof --results=...)";
-    return false;
+    return !sections.empty();
 }
 
 } // namespace
@@ -115,10 +89,8 @@ main(int argc, char **argv)
     for (; arg < argc && std::strncmp(argv[arg], "--", 2) == 0; ++arg) {
         const std::string a = argv[arg];
         if (a.rfind("--threshold=", 0) == 0) {
-            threshold_pct = std::atof(a.c_str() + 12);
-            if (threshold_pct < 0.0) {
-                std::fprintf(stderr, "bad threshold '%s'\n",
-                             argv[arg]);
+            if (!sim::flagValue(a, threshold_pct)) {
+                usage();
                 return 2;
             }
         } else if (a == "--exact") {
@@ -126,6 +98,7 @@ main(int argc, char **argv)
         } else if (a.rfind("--json=", 0) == 0) {
             json_file = a.substr(7);
         } else {
+            sim::reportBadFlag("unknown option", a, kKnownFlags);
             usage();
             return 2;
         }

@@ -51,7 +51,6 @@
  * exit status 2 and a nearest-valid-flag suggestion.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -67,6 +66,7 @@
 #include "metrics/report.hh"
 #include "prof/prof.hh"
 #include "prof/report.hh"
+#include "sim/flags.hh"
 #include "sim/log.hh"
 #include "sim/table.hh"
 #include "trace/exporters.hh"
@@ -110,7 +110,7 @@ usage()
 }
 
 /** Every flag this tool understands ('=' marks value-taking forms). */
-const char *const kKnownFlags[] = {
+const std::vector<const char *> kKnownFlags = {
     "--trace=",      "--trace-csv=",      "--trace-categories=",
     "--stats-interval=", "--stats-out=",  "--results=",
     "--set=",        "--log-level=",      "--prof",
@@ -118,51 +118,11 @@ const char *const kKnownFlags[] = {
     "--list",
 };
 
-std::size_t
-editDistance(const std::string &a, const std::string &b)
-{
-    std::vector<std::size_t> row(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j)
-        row[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        std::size_t diag = row[0];
-        row[0] = i;
-        for (std::size_t j = 1; j <= b.size(); ++j) {
-            const std::size_t up = row[j];
-            const std::size_t sub = diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-            row[j] = std::min({row[j] + 1, row[j - 1] + 1, sub});
-            diag = up;
-        }
-    }
-    return row[b.size()];
-}
-
-/** The known flag nearest to `arg` (compared on the name, sans '='). */
-std::string
-nearestFlag(const std::string &arg)
-{
-    const std::string name = arg.substr(0, arg.find('='));
-    std::string best;
-    std::size_t best_d = ~std::size_t(0);
-    for (const char *f : kKnownFlags) {
-        std::string fname = f;
-        if (!fname.empty() && fname.back() == '=')
-            fname.pop_back();
-        const std::size_t d = editDistance(name, fname);
-        if (d < best_d) {
-            best_d = d;
-            best = fname;
-        }
-    }
-    return best;
-}
-
 /** Exit status 2 with a did-you-mean hint — unknown/misplaced flags. */
 int
 rejectFlag(const char *arg, const char *why)
 {
-    std::fprintf(stderr, "%s '%s' (did you mean '%s'?)\n", why, arg,
-                 nearestFlag(arg).c_str());
+    sim::reportBadFlag(why, arg, kKnownFlags);
     usage();
     return 2;
 }
@@ -341,8 +301,8 @@ main(int argc, char **argv)
 
     auto sys = core::systemFor(spec);
     auto &slot = sys->slot(0);
-    // The system's own sink, not the process-wide tracer: another
-    // system in this process would not interleave with this timeline.
+    // The system's own sink: another system in this process would not
+    // interleave with this timeline.
     if (tracing)
         sys->enableTracing(trace::parseCategories(opt.trace_categories));
 

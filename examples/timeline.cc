@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -35,7 +34,9 @@
 #include <vector>
 
 #include "metrics/metrics.hh"
+#include "core/report.hh"
 #include "metrics/report.hh"
+#include "sim/flags.hh"
 #include "sim/json.hh"
 #include "sim/table.hh"
 
@@ -57,53 +58,11 @@ usage()
         "more than 5%");
 }
 
-const char *const kKnownFlags[] = {
+const std::vector<const char *> kKnownFlags = {
     "--vm=", "--run=", "--csv=", "--diff",
 };
 
-std::size_t
-editDistance(const std::string &a, const std::string &b)
-{
-    std::vector<std::size_t> row(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j)
-        row[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        std::size_t diag = row[0];
-        row[0] = i;
-        for (std::size_t j = 1; j <= b.size(); ++j) {
-            const std::size_t up = row[j];
-            const std::size_t sub = diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-            row[j] = std::min({row[j] + 1, row[j - 1] + 1, sub});
-            diag = up;
-        }
-    }
-    return row[b.size()];
-}
-
-std::string
-nearestFlag(const std::string &arg)
-{
-    const std::string name = arg.substr(0, arg.find('='));
-    std::string best;
-    std::size_t best_d = ~std::size_t(0);
-    for (const char *f : kKnownFlags) {
-        std::string fname = f;
-        if (!fname.empty() && fname.back() == '=')
-            fname.pop_back();
-        const std::size_t d = editDistance(name, fname);
-        if (d < best_d) {
-            best_d = d;
-            best = fname;
-        }
-    }
-    return best;
-}
-
-/**
- * Pull the metrics section out of a results file: the top-level
- * "metrics" object of a single run, or the --run'th metrics-carrying
- * entry of a sweep aggregate's "runs" array.
- */
+/** Pull the --run'th metrics section out of a results file. */
 bool
 loadMetrics(const std::string &path, std::size_t run_idx,
             metrics::MetricsReport &out, std::string &error)
@@ -111,41 +70,11 @@ loadMetrics(const std::string &path, std::size_t run_idx,
     const auto doc = sim::jsonParseFile(path, &error);
     if (!doc)
         return false;
-    if (!doc->isObject()) {
-        error = "top level is not an object";
+    const auto *m = core::reportSection(*doc, "metrics", run_idx, error);
+    if (m == nullptr)
         return false;
-    }
-    if (const auto *m = doc->find("metrics")) {
-        out = metrics::metricsReportFromJson(*m, &error);
-        return error.empty();
-    }
-    if (const auto *runs = doc->find("runs")) {
-        if (!runs->isArray()) {
-            error = "\"runs\" is not an array";
-            return false;
-        }
-        std::size_t idx = 0;
-        for (const auto &run : runs->array) {
-            const auto *record = run.find("record");
-            const auto *m =
-                record != nullptr ? record->find("metrics") : nullptr;
-            if (m == nullptr)
-                continue;
-            if (idx++ != run_idx)
-                continue;
-            out = metrics::metricsReportFromJson(*m, &error);
-            return error.empty();
-        }
-        error = idx == 0
-                    ? "no run in \"runs\" carries a metrics section "
-                      "(was the sweep run with metrics on?)"
-                    : "--run index past the " + std::to_string(idx) +
-                          " metrics-carrying run(s)";
-        return false;
-    }
-    error = "no \"metrics\" object and no \"runs\" array (produce "
-            "input with run_experiment --metrics --results=...)";
-    return false;
+    out = metrics::metricsReportFromJson(*m, &error);
+    return error.empty();
 }
 
 /** Unicode sparkline of a series, min..max scaled to 8 block levels. */
@@ -193,14 +122,14 @@ ppmToFactor(std::uint64_t ppm)
 }
 
 bool
-vmSelected(const metrics::MetricsVm &vm, std::optional<unsigned> vm_id)
+vmSelected(const metrics::MetricsVm &vm, std::optional<std::uint64_t> vm_id)
 {
     return !vm_id || vm.vm == *vm_id;
 }
 
 void
 printReport(const metrics::MetricsReport &report,
-            std::optional<unsigned> vm_id)
+            std::optional<std::uint64_t> vm_id)
 {
     std::printf("windowed metrics (sample interval %" PRIu64 " ns)\n",
                 report.sample_interval_ns);
@@ -308,29 +237,36 @@ diffReports(const metrics::MetricsReport &a,
 int
 main(int argc, char **argv)
 {
-    std::optional<unsigned> vm_id;
-    std::size_t run_idx = 0;
+    std::optional<std::uint64_t> vm_id;
+    std::uint64_t run_idx = 0;
     std::string csv_file;
     bool diff = false;
     std::vector<const char *> files;
 
     for (int arg = 1; arg < argc; ++arg) {
         const std::string a = argv[arg];
+        std::uint64_t n = 0;
+        // Numeric values parse strictly: "--run=abc" is an error, not
+        // run 0.
         if (std::strncmp(argv[arg], "--", 2) != 0) {
             files.push_back(argv[arg]);
         } else if (a.rfind("--vm=", 0) == 0) {
-            vm_id = static_cast<unsigned>(
-                std::strtoul(a.c_str() + 5, nullptr, 0));
+            if (!sim::flagValue(a, n)) {
+                usage();
+                return 2;
+            }
+            vm_id = n;
         } else if (a.rfind("--run=", 0) == 0) {
-            run_idx = std::strtoull(a.c_str() + 6, nullptr, 0);
+            if (!sim::flagValue(a, run_idx)) {
+                usage();
+                return 2;
+            }
         } else if (a.rfind("--csv=", 0) == 0) {
             csv_file = a.substr(6);
         } else if (a == "--diff") {
             diff = true;
         } else {
-            std::fprintf(stderr,
-                         "unknown option '%s' (did you mean '%s'?)\n",
-                         argv[arg], nearestFlag(a).c_str());
+            sim::reportBadFlag("unknown option", a, kKnownFlags);
             usage();
             return 2;
         }

@@ -141,7 +141,6 @@ HeteroSystem::enableProfiling()
     if (prof_enabled_)
         return;
     prof_enabled_ = true;
-    profiler_.enable();
     registry_.add(&profiler_.stats(),
                   [this] { profiler_.syncStats(); });
 }
@@ -249,8 +248,6 @@ HeteroSystem::seedMetrics(VmSlot &slot)
     events.schedulePeriodic(
         metrics_.config().sample_interval,
         [this, vm, &events](sim::Duration period) {
-            if (!metrics_.enabled())
-                return sim::Duration{0};
             metrics_.sampleVm(vm, events.now());
             return period;
         });
@@ -280,33 +277,9 @@ HeteroSystem::seedXray(VmSlot &slot)
 workload::Workload::Result
 HeteroSystem::runOne(VmSlot &slot, const workload::WorkloadFactory &factory)
 {
-    trace::ScopedSink sink(trace_enabled_ ? &tracer_ : nullptr);
-    prof::ScopedProfiler prof_guard(prof_enabled_ ? &profiler_
-                                                  : nullptr);
-    xray::ScopedRecorder xray_guard(xray_enabled_ ? &xray_ : nullptr);
-    metrics::ScopedCollector metrics_guard(
-        metrics_enabled_ ? &metrics_ : nullptr);
-    active_vms_ = 1;
-
-    std::optional<check::AuditDaemon> audit;
-    if (check::fullChecksEnabled) {
-        audit.emplace(*vmm_, slot.kernel->events(), kAuditInterval,
-                      &registry_);
-        audit->start();
-    }
-
-    auto wl = factory(envFor(slot));
-    auto result = wl->run();
-
-    if (check::fullChecksEnabled)
-        check::enforce(check::auditVmm(*vmm_, &registry_));
-    if (prof_enabled_)
-        check::enforce(check::auditProf(profiler_));
-    if (xray_enabled_)
-        check::enforce(check::auditXray(*vmm_, xray_));
-    if (metrics_enabled_)
-        check::enforce(check::auditMetrics(*vmm_, metrics_));
-    return result;
+    // Lockstep over one VM is start, step to completion, finish; the
+    // scopes and audits are runMany's.
+    return runMany({{&slot, factory}}).front();
 }
 
 std::vector<workload::Workload::Result>
@@ -320,6 +293,8 @@ HeteroSystem::runMany(
     xray::ScopedRecorder xray_guard(xray_enabled_ ? &xray_ : nullptr);
     metrics::ScopedCollector metrics_guard(
         metrics_enabled_ ? &metrics_ : nullptr);
+
+    active_vms_ = 1;
 
     std::optional<check::AuditDaemon> audit;
     if (check::fullChecksEnabled && !pairs.empty()) {

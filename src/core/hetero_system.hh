@@ -101,12 +101,11 @@ class HeteroSystem
     VmSlot &slot(std::size_t i) { return *slots_[i]; }
 
     /**
-     * Opt this system into its own trace sink: while runOne/runMany
-     * execute, events emitted on the running thread land in
-     * traceSink() instead of the process-wide trace::tracer().
+     * Opt this system into tracing: while runOne/runMany execute,
+     * events emitted on the running thread land in traceSink().
      * Multiple systems (e.g. parallel sweep points) each keep their
-     * own event stream. Systems that never call this keep the legacy
-     * behavior — events go to the global tracer if it is enabled.
+     * own event stream. There is no process-wide tracer: events of a
+     * system that never calls this are not recorded anywhere.
      */
     void enableTracing(
         std::uint32_t mask = static_cast<std::uint32_t>(
@@ -168,14 +167,16 @@ class HeteroSystem
     /** Build the workload environment for a VM. */
     workload::VmEnv envFor(VmSlot &slot);
 
-    /** Run one workload to completion on one VM. */
+    /** Run one workload to completion on one VM (runMany of one). */
     workload::Workload::Result
     runOne(VmSlot &slot, const workload::WorkloadFactory &factory);
 
     /**
      * Run one workload per VM in lockstep (smallest-elapsed-first
      * interleaving); devices see the number of still-active VMs as
-     * contending sharers. Results are indexed like `pairs`.
+     * contending sharers. Results are indexed like `pairs`. The one
+     * run path: installs this system's telemetry scopes, starts the
+     * HOS_CHECK=full audit daemon, and enforces the post-run audits.
      */
     std::vector<workload::Workload::Result>
     runMany(const std::vector<

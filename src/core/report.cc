@@ -27,6 +27,57 @@ gainPercent(const workload::Workload::Result &baseline,
     return (static_cast<double>(baseline.elapsed) / now - 1.0) * 100.0;
 }
 
+std::vector<const sim::JsonValue *>
+reportSections(const sim::JsonValue &doc, const std::string &key,
+               std::string &error)
+{
+    if (!doc.isObject()) {
+        error = "top level is not an object";
+        return {};
+    }
+    if (const auto *section = doc.find(key))
+        return {section};
+    const auto *runs = doc.find("runs");
+    if (runs == nullptr) {
+        error = "no \"" + key + "\" object and no \"runs\" array " +
+                "(was the run made with " + key + " telemetry on?)";
+        return {};
+    }
+    if (!runs->isArray()) {
+        error = "\"runs\" is not an array";
+        return {};
+    }
+    std::vector<const sim::JsonValue *> sections;
+    for (const auto &run : runs->array) {
+        const auto *record = run.find("record");
+        if (const auto *section =
+                record != nullptr ? record->find(key) : nullptr)
+            sections.push_back(section);
+    }
+    if (sections.empty()) {
+        error = "no run in \"runs\" carries a \"" + key +
+                "\" section (was the sweep run with " + key +
+                " telemetry on?)";
+    }
+    return sections;
+}
+
+const sim::JsonValue *
+reportSection(const sim::JsonValue &doc, const std::string &key,
+              std::size_t run_idx, std::string &error)
+{
+    const auto sections = reportSections(doc, key, error);
+    if (sections.empty())
+        return nullptr;
+    if (run_idx >= sections.size()) {
+        error = "--run index past the " +
+                std::to_string(sections.size()) + " \"" + key +
+                "\"-carrying run(s)";
+        return nullptr;
+    }
+    return sections[run_idx];
+}
+
 RunRecord
 makeRunRecord(const workload::Workload::Result &result,
               const std::string &approach)

@@ -69,6 +69,25 @@ struct RunRecord
     metrics::MetricsReport metrics;
 };
 
+/**
+ * The `key` sections ("profile", "xray", "metrics") of a parsed
+ * results file: its top-level `key` object (a single run), or else
+ * the "record".`key` of every sweep run carrying one, in run order.
+ * Empty, with `error` set, when the document has none.
+ */
+std::vector<const sim::JsonValue *>
+reportSections(const sim::JsonValue &doc, const std::string &key,
+               std::string &error);
+
+/**
+ * The `run_idx`'th of reportSections (a top-level section is index
+ * 0), or nullptr with `error` set.
+ */
+const sim::JsonValue *reportSection(const sim::JsonValue &doc,
+                                    const std::string &key,
+                                    std::size_t run_idx,
+                                    std::string &error);
+
 /** Fill the workload-derived fields of a record from a result. */
 RunRecord makeRunRecord(const workload::Workload::Result &result,
                         const std::string &approach);

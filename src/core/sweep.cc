@@ -222,29 +222,20 @@ executePoint(const SweepPoint &point)
     SweepResult r;
     r.point = point;
 
-    if (point.scenario.profiling || point.scenario.xray ||
-        point.scenario.metrics) {
-        // Keep the system alive past the run so its span ledger,
-        // placement shadow, and metrics series can be harvested into
-        // the record.
-        auto sys = systemFor(point.scenario);
-        const auto result =
-            sys->runOne(sys->slot(0),
-                        workload::makeApp(point.scenario.app,
-                                          point.scenario.scale));
-        r.record = makeRunRecord(result,
-                                 approachName(point.scenario.approach));
-        if (point.scenario.profiling)
-            r.record.profile = sys->profiler().report();
-        if (point.scenario.xray)
-            r.record.xray = sys->xrayRecorder().report();
-        if (point.scenario.metrics)
-            r.record.metrics = sys->metricsCollector().report();
-    } else {
-        const auto result = core::run(point.scenario);
-        r.record = makeRunRecord(result,
-                                 approachName(point.scenario.approach));
-    }
+    // Keep the system alive past the run so its span ledger,
+    // placement shadow, and metrics series can be harvested into the
+    // record.
+    const Scenario &s = point.scenario;
+    auto sys = systemFor(s);
+    const auto result =
+        sys->runOne(sys->slot(0), workload::makeApp(s.app, s.scale));
+    r.record = makeRunRecord(result, approachName(s.approach));
+    if (s.profiling)
+        r.record.profile = sys->profiler().report();
+    if (s.xray)
+        r.record.xray = sys->xrayRecorder().report();
+    if (s.metrics)
+        r.record.metrics = sys->metricsCollector().report();
 
     // Numeric axis values ride along as extras so plots can read the
     // coordinates straight out of the record.

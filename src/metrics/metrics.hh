@@ -33,13 +33,15 @@
  *     no-op flag.
  *  2. Integer-only and deterministic: ticks, counts and ppm ratios;
  *     reports serialize bit-identically across runs. The hos-analyze
- *     `metrics-purity` rule bans float/double in this directory.
+ *     `telemetry-purity` rule bans float/double in this directory.
  *  3. Bit-identical simulation: metrics observes, it never steers.
  *     Sampling events ride the guest event queues but their actions
  *     are read-only, so metrics-on runs produce byte-identical
  *     simulation results.
- *  4. Isolation: a thread-local active collector (ScopedCollector)
- *     keeps parallel sweep points apart.
+ *  4. Isolation: hooks feed only the thread-local active collector
+ *     (ScopedCollector, the same sim::ScopedActive install as
+ *     trace::ScopedSink) that HeteroSystem installs around runMany;
+ *     with none installed the hooks are dead.
  *
  * Layering: metrics sits between trace and guestos (like prof/xray),
  * so it cannot name guestos or core types. VM ids and signal values
@@ -55,6 +57,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/scoped_active.hh"
 #include "sim/series.hh"
 #include "sim/stats.hh"
 #include "sim/time.hh"
@@ -169,9 +172,9 @@ struct MetricsConfig
 struct MetricsReport;
 
 /**
- * The per-run collector: signal registry, sampling, and the slowdown
- * estimator. Single-threaded per instance; cross-thread isolation
- * comes from ScopedCollector, exactly like xray::ScopedRecorder.
+ * The per-system collector: signal registry, sampling, and the
+ * slowdown estimator. Single-threaded per instance; cross-thread
+ * isolation comes from ScopedCollector.
  */
 class Collector
 {
@@ -179,7 +182,6 @@ class Collector
     Collector();
 
     void enable(MetricsConfig cfg = {});
-    void disable();
     bool enabled() const { return enabled_; }
 
     /** Drop all per-VM state, series and histograms. */
@@ -298,17 +300,22 @@ class Collector
 };
 
 namespace detail {
-/** Global fallback: set when a process-wide collector is enabled. */
-extern Collector *g_active;
-/** Thread-local override installed by ScopedCollector. */
-extern thread_local Collector *t_active;
-
-inline Collector *
-activeCollector()
+/** This thread's active-collector slot, written only by
+ * ScopedCollector. */
+inline Collector *&
+activeSlot()
 {
-    return t_active != nullptr ? t_active : g_active;
+    static thread_local Collector *active = nullptr;
+    return active;
 }
 } // namespace detail
+
+/**
+ * RAII install of this thread's active collector (sim::ScopedActive):
+ * while alive, the metrics hooks on the constructing thread feed it.
+ */
+using ScopedCollector =
+    sim::ScopedActive<Collector, detail::activeSlot, metricsCompiled>;
 
 /**
  * The collector hooks should feed, or nullptr when metrics is off.
@@ -318,49 +325,8 @@ activeCollector()
 inline Collector *
 active()
 {
-#if HOS_METRICS_LEVEL >= 1
-    return detail::activeCollector();
-#else
-    return nullptr;
-#endif
+    return ScopedCollector::active();
 }
-
-/**
- * RAII install of a per-thread active collector, mirroring
- * xray::ScopedRecorder. A null collector is a no-op.
- */
-class ScopedCollector
-{
-  public:
-    explicit ScopedCollector(Collector *c)
-    {
-#if HOS_METRICS_LEVEL >= 1
-        if (c == nullptr)
-            return;
-        prev_ = detail::t_active;
-        detail::t_active = c;
-        installed_ = true;
-#else
-        (void)c;
-#endif
-    }
-    ~ScopedCollector()
-    {
-#if HOS_METRICS_LEVEL >= 1
-        if (installed_)
-            detail::t_active = prev_;
-#endif
-    }
-
-    ScopedCollector(const ScopedCollector &) = delete;
-    ScopedCollector &operator=(const ScopedCollector &) = delete;
-
-  private:
-#if HOS_METRICS_LEVEL >= 1
-    Collector *prev_ = nullptr;
-    bool installed_ = false;
-#endif
-};
 
 } // namespace hos::metrics
 

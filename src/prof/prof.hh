@@ -24,10 +24,11 @@
  *  3. Bit-identical simulation: profiling observes charges, it never
  *     creates or reorders them. Golden-determinism tests run the
  *     pinned matrix prof-on and prof-off and compare Results.
- *  4. Isolation: like trace::ScopedSink, a thread-local active
- *     profiler (ScopedProfiler) keeps parallel sweep points from
- *     interleaving; HeteroSystem installs its own profiler around
- *     runOne/runMany.
+ *  4. Isolation: spans and charges attribute only into the
+ *     thread-local active profiler (ScopedProfiler, the same
+ *     sim::ScopedActive install as trace::ScopedSink) that
+ *     HeteroSystem installs around runMany; parallel sweep points
+ *     never interleave, and with none installed nothing is recorded.
  *
  * Layering: prof sits between trace and guestos, so it cannot name
  * guestos::OverheadKind. Charges carry the kind as a plain index;
@@ -44,6 +45,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/scoped_active.hh"
 #include "sim/stats.hh"
 #include "sim/time.hh"
 
@@ -148,24 +150,14 @@ struct ProfileReport
 };
 
 /**
- * The span stack plus attribution ledger for one run (or one
- * HeteroSystem). All bookkeeping is per-instance and single-threaded;
- * cross-thread isolation comes from ScopedProfiler, exactly like
- * trace::Tracer/ScopedSink.
+ * The span stack plus attribution ledger for one HeteroSystem. All
+ * bookkeeping is per-instance and single-threaded; cross-thread
+ * isolation comes from ScopedProfiler.
  */
 class Profiler
 {
   public:
     Profiler();
-
-    /**
-     * Mark this profiler active. The process-wide profiler()
-     * additionally becomes the fallback for threads without a
-     * ScopedProfiler installed.
-     */
-    void enable();
-    void disable();
-    bool enabled() const { return enabled_; }
 
     /** Drop the ledger, the path tree, and the span counters. */
     void clear();
@@ -237,7 +229,6 @@ class Profiler
 
     std::string pathOf(std::uint32_t node) const;
 
-    bool enabled_ = false;
     std::vector<Node> nodes_;
     /** (parent, kind) -> interned node id. */
     std::map<std::pair<std::uint32_t, std::uint8_t>, std::uint32_t>
@@ -249,25 +240,28 @@ class Profiler
     sim::StatGroup stats_{"prof"};
 };
 
-/** The process-wide default profiler (legacy single-run flows). */
-Profiler &profiler();
-
 namespace detail {
-/** Global fallback: set when the process-wide profiler is enabled. */
-extern Profiler *g_active;
-/** Thread-local override installed by ScopedProfiler. */
-extern thread_local Profiler *t_active;
-
-inline Profiler *
-activeProfiler()
+/** This thread's active-profiler slot, written only by
+ * ScopedProfiler. */
+inline Profiler *&
+activeSlot()
 {
-    return t_active != nullptr ? t_active : g_active;
+    static thread_local Profiler *active = nullptr;
+    return active;
 }
 
 /** Host steady_clock in ns (defined in prof.cc — the one sanctioned
  * wall-clock site in the tree; see tools/lint.sh). */
 std::uint64_t hostNow();
 } // namespace detail
+
+/**
+ * RAII install of this thread's active profiler (sim::ScopedActive):
+ * while alive, spans and charges on the constructing thread
+ * attribute into it.
+ */
+using ScopedProfiler =
+    sim::ScopedActive<Profiler, detail::activeSlot, profilingCompiled>;
 
 /**
  * Forward one kernel charge to the active profiler, if any. The
@@ -277,54 +271,9 @@ std::uint64_t hostNow();
 inline void
 onCharge(std::uint8_t cost_kind, sim::Duration d)
 {
-#if HOS_PROF_LEVEL >= 1
-    if (Profiler *p = detail::activeProfiler())
+    if (Profiler *p = ScopedProfiler::active())
         p->recordCharge(cost_kind, d);
-#else
-    (void)cost_kind;
-    (void)d;
-#endif
 }
-
-/**
- * RAII install of a per-thread active profiler. While alive, spans
- * and charges on the constructing thread attribute into `p`;
- * destruction restores the previous profiler (scopes nest). A null
- * profiler is a no-op, so callers can write
- * `ScopedProfiler guard(profilingWanted ? &prof : nullptr);`.
- */
-class ScopedProfiler
-{
-  public:
-    explicit ScopedProfiler(Profiler *p)
-    {
-#if HOS_PROF_LEVEL >= 1
-        if (p == nullptr)
-            return;
-        prev_ = detail::t_active;
-        detail::t_active = p;
-        installed_ = true;
-#else
-        (void)p;
-#endif
-    }
-    ~ScopedProfiler()
-    {
-#if HOS_PROF_LEVEL >= 1
-        if (installed_)
-            detail::t_active = prev_;
-#endif
-    }
-
-    ScopedProfiler(const ScopedProfiler &) = delete;
-    ScopedProfiler &operator=(const ScopedProfiler &) = delete;
-
-  private:
-#if HOS_PROF_LEVEL >= 1
-    Profiler *prev_ = nullptr;
-    bool installed_ = false;
-#endif
-};
 
 #if HOS_PROF_LEVEL >= 1
 
@@ -339,7 +288,7 @@ class Span
     Span(SpanKind kind, sim::EventQueue &q, std::uint16_t vm = 0,
          std::uint8_t tier = noTier)
     {
-        prof_ = detail::activeProfiler();
+        prof_ = ScopedProfiler::active();
         if (prof_ == nullptr)
             return;
         queue_ = &q;

@@ -10,17 +10,17 @@
  * (chrome://tracing / Perfetto) or a compact CSV.
  *
  * Design constraints, in order:
- *  1. Zero measurable cost when disabled: the emit() fast path is a
- *     thread-local sink check plus one plain global mask load. Benches
- *     run with tracing off and must not pay for its existence.
+ *  1. Zero measurable cost when disabled: the emit() fast path is one
+ *     thread-local sink load and a branch. Benches run with tracing
+ *     off and must not pay for its existence.
  *  2. Bounded memory: a fixed-capacity ring; when full, the oldest
  *     records are overwritten and counted as dropped.
  *  3. Determinism: two identical runs produce identical traces — no
  *     wall-clock anywhere, only sim ticks.
- *  4. Isolation: emit() routes to a thread-local sink when one is
- *     installed (ScopedSink), falling back to the process-wide
- *     tracer() otherwise. Two HeteroSystems running on different
- *     sweep threads each collect their own events; nothing
+ *  4. Isolation: emit() records only into the thread-local sink a
+ *     HeteroSystem installs for its run (ScopedSink); with none
+ *     installed it records nothing. Two HeteroSystems running on
+ *     different sweep threads each collect their own events; nothing
  *     interleaves.
  *
  * Records carry up to three uint64 arguments whose meaning is fixed
@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/scoped_active.hh"
 #include "sim/time.hh"
 
 namespace hos::trace {
@@ -127,10 +128,9 @@ struct Record
 };
 
 /**
- * Fixed-capacity ring buffer of trace records. Each Tracer carries its
- * own category mask; the process-wide tracer() additionally mirrors
- * its mask into detail::g_mask so the disabled fast path stays one
- * global load for code that never installs a sink.
+ * Fixed-capacity ring buffer of trace records with its own category
+ * mask. emit() reaches a Tracer only while it is installed as this
+ * thread's sink (ScopedSink).
  */
 class Tracer
 {
@@ -176,92 +176,50 @@ class Tracer
     std::uint64_t recorded_ = 0;
 };
 
-/**
- * The process-wide default tracer: emit() lands here on threads with
- * no installed sink. Legacy single-run flows keep using it directly.
- */
-Tracer &tracer();
-
 namespace detail {
-/**
- * Plain global mirror of the *global* tracer's category mask.
- * Constant-initialized, so the disabled-path check in emit() is one
- * relaxed load with no static-init guard — the whole point of the
- * design. Per-instance Tracers never touch it.
- */
-extern std::uint32_t g_mask;
-
-/**
- * Thread-local sink override. When non-null, emit() on this thread
- * records exclusively into it using t_mask (a mirror of the sink's
- * own mask, kept hot so the fast path never chases the pointer).
- */
-extern thread_local Tracer *t_sink;
-extern thread_local std::uint32_t t_mask;
-
-/** The mask emit() filters against on this thread. */
-inline std::uint32_t
-effectiveMask()
+/** This thread's sink slot, written only by ScopedSink. */
+inline Tracer *&
+sinkSlot()
 {
-    return t_sink ? t_mask : g_mask;
+    static thread_local Tracer *sink = nullptr;
+    return sink;
 }
 } // namespace detail
+
+/**
+ * RAII install of this thread's trace sink (sim::ScopedActive): while
+ * alive, emit() on the constructing thread records into the sink.
+ */
+using ScopedSink = sim::ScopedActive<Tracer, detail::sinkSlot, true>;
 
 /** True when `c` is being recorded on this thread. */
 inline bool
 enabled(Category c)
 {
-    return (detail::effectiveMask() & static_cast<std::uint32_t>(c)) != 0;
-}
-
-/** True when any category is being recorded on this thread. */
-inline bool
-anyEnabled()
-{
-    return detail::effectiveMask() != 0;
+    const Tracer *sink = ScopedSink::active();
+    return sink != nullptr &&
+           (sink->mask() & static_cast<std::uint32_t>(c)) != 0;
 }
 
 /**
  * Record an event if its category is enabled. This is the only call
- * hot paths make; when tracing is off it costs a thread-local sink
- * check, one global load, and a branch.
+ * hot paths make; when tracing is off it costs a thread-local load
+ * and a branch.
  */
 inline void
 emit(EventType type, sim::Tick ts, std::uint64_t a0 = 0,
      std::uint64_t a1 = 0, std::uint64_t a2 = 0, sim::Duration dur = 0,
      std::uint16_t vm = 0)
 {
-    Tracer *sink = detail::t_sink;
-    const std::uint32_t mask = sink ? detail::t_mask : detail::g_mask;
-    if (mask == 0)
+    Tracer *sink = ScopedSink::active();
+    if (sink == nullptr)
         return;
-    if (!(mask & static_cast<std::uint32_t>(eventTypeInfo(type).category)))
+    const std::uint32_t mask = sink->mask();
+    if (mask == 0 ||
+        !(mask & static_cast<std::uint32_t>(eventTypeInfo(type).category)))
         return;
-    (sink ? *sink : tracer()).record(type, ts, a0, a1, a2, dur, vm);
+    sink->record(type, ts, a0, a1, a2, dur, vm);
 }
-
-/**
- * RAII install of a per-thread trace sink. While alive, every emit()
- * on the constructing thread records into `sink` instead of the
- * global tracer; destruction restores whatever was installed before
- * (sinks nest). A null sink is a no-op, so callers can write
- * `ScopedSink guard(tracingWanted ? &my_tracer : nullptr);`
- * unconditionally.
- */
-class ScopedSink
-{
-  public:
-    explicit ScopedSink(Tracer *sink);
-    ~ScopedSink();
-
-    ScopedSink(const ScopedSink &) = delete;
-    ScopedSink &operator=(const ScopedSink &) = delete;
-
-  private:
-    Tracer *prev_sink_ = nullptr;
-    std::uint32_t prev_mask_ = 0;
-    bool installed_ = false;
-};
 
 } // namespace hos::trace
 

@@ -91,15 +91,6 @@ Workload::finish()
     return res;
 }
 
-Workload::Result
-Workload::run()
-{
-    start();
-    while (step()) {
-    }
-    return finish();
-}
-
 double
 Workload::metricValue() const
 {

@@ -128,9 +128,6 @@ class Workload
     /** Collect the result (valid once done). */
     Result finish();
 
-    /** start + step to completion + finish. */
-    Result run();
-
   protected:
     /** Create processes, files, initial regions. */
     virtual void setup() = 0;

@@ -29,9 +29,10 @@
  *     report serializes bit-identically across runs.
  *  3. Bit-identical simulation: xray observes decisions, it never
  *     makes them. Golden-determinism tests compare xray-on/off runs.
- *  4. Isolation: a thread-local active recorder (ScopedRecorder)
- *     keeps parallel sweep points apart, exactly like
- *     trace::ScopedSink / prof::ScopedProfiler.
+ *  4. Isolation: hooks feed only the thread-local active recorder
+ *     (ScopedRecorder, the same sim::ScopedActive install as
+ *     trace::ScopedSink) that HeteroSystem installs around runMany;
+ *     with none installed the hooks are dead.
  *
  * Layering: xray sits between trace and guestos (like prof), so it
  * cannot name guestos or mem types. Tiers cross the boundary as
@@ -46,6 +47,7 @@
 #include <map>
 #include <vector>
 
+#include "sim/scoped_active.hh"
 #include "sim/stats.hh"
 #include "sim/time.hh"
 
@@ -179,18 +181,17 @@ struct XrayReport;
 constexpr std::size_t numLagBuckets = 40;
 
 /**
- * The shadow state plus telemetry for one run (or one HeteroSystem).
+ * The shadow state plus telemetry for one HeteroSystem.
  * Single-threaded per instance; cross-thread isolation comes from
- * ScopedRecorder, exactly like trace::Tracer/ScopedSink.
+ * ScopedRecorder.
  */
 class Recorder
 {
   public:
     Recorder();
 
-    /** Mark this recorder active (process-wide fallback). */
+    /** Mark this recorder enabled (its owner then installs it). */
     void enable(XrayConfig cfg = {});
-    void disable();
     bool enabled() const { return enabled_; }
 
     /** Drop all shadow state, counters and rings. */
@@ -346,21 +347,23 @@ class Recorder
     sim::StatGroup stats_{"xray"};
 };
 
-/** The process-wide default recorder (legacy single-run flows). */
-Recorder &recorder();
-
 namespace detail {
-/** Global fallback: set when the process-wide recorder is enabled. */
-extern Recorder *g_active;
-/** Thread-local override installed by ScopedRecorder. */
-extern thread_local Recorder *t_active;
-
-inline Recorder *
-activeRecorder()
+/** This thread's active-recorder slot, written only by
+ * ScopedRecorder. */
+inline Recorder *&
+activeSlot()
 {
-    return t_active != nullptr ? t_active : g_active;
+    static thread_local Recorder *active = nullptr;
+    return active;
 }
 } // namespace detail
+
+/**
+ * RAII install of this thread's active recorder (sim::ScopedActive):
+ * while alive, the xray hooks on the constructing thread feed it.
+ */
+using ScopedRecorder =
+    sim::ScopedActive<Recorder, detail::activeSlot, xrayCompiled>;
 
 /**
  * The recorder hooks should feed, or nullptr when xray is off. The
@@ -371,50 +374,8 @@ activeRecorder()
 inline Recorder *
 active()
 {
-#if HOS_XRAY_LEVEL >= 1
-    return detail::activeRecorder();
-#else
-    return nullptr;
-#endif
+    return ScopedRecorder::active();
 }
-
-/**
- * RAII install of a per-thread active recorder, mirroring
- * prof::ScopedProfiler. A null recorder is a no-op, so callers can
- * write `ScopedRecorder guard(xrayWanted ? &rec : nullptr);`.
- */
-class ScopedRecorder
-{
-  public:
-    explicit ScopedRecorder(Recorder *r)
-    {
-#if HOS_XRAY_LEVEL >= 1
-        if (r == nullptr)
-            return;
-        prev_ = detail::t_active;
-        detail::t_active = r;
-        installed_ = true;
-#else
-        (void)r;
-#endif
-    }
-    ~ScopedRecorder()
-    {
-#if HOS_XRAY_LEVEL >= 1
-        if (installed_)
-            detail::t_active = prev_;
-#endif
-    }
-
-    ScopedRecorder(const ScopedRecorder &) = delete;
-    ScopedRecorder &operator=(const ScopedRecorder &) = delete;
-
-  private:
-#if HOS_XRAY_LEVEL >= 1
-    Recorder *prev_ = nullptr;
-    bool installed_ = false;
-#endif
-};
 
 } // namespace hos::xray
 

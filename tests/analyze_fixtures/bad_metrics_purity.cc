@@ -1,8 +1,8 @@
-// Fixture: metrics-purity. Three violations: floating point in a
-// src/metrics file (the test lexes this under a virtual src/metrics/
-// path), a mutating call under a HOS_METRICS_LEVEL guard, and a
-// mutating call inside a metrics::active() observation block. Never
-// compiled.
+// Fixture: telemetry-purity, metrics layer. Three violations:
+// floating point in a src/metrics file (the test lexes this under a
+// virtual src/metrics/ path), a mutating call under a
+// HOS_METRICS_LEVEL guard, and a mutating call inside a
+// metrics::active() observation block. Never compiled.
 struct Kernel;
 enum class OverheadKind { HotScan };
 

@@ -1,5 +1,5 @@
-// Fixture: xray-int. Floating point in src/xray (the test lexes this
-// under a virtual src/xray/ path). Never compiled.
+// Fixture: telemetry-purity's integer-only leg. Floating point in
+// src/xray (lexed under a virtual src/xray/ path). Never compiled.
 double
 misplacedFrac(unsigned long num, unsigned long den)
 {

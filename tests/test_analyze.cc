@@ -72,16 +72,16 @@ const Case kCases[] = {
     {"bad_charge_span.cc", "charge-span", "src/fix.cc"},
     {"bad_tier_xray.cc", "tier-xray", "src/fix.cc"},
     {"bad_telemetry_purity.cc", "telemetry-purity", "src/fix.cc"},
-    {"bad_xray_int.cc", "xray-int", "src/xray/fix.cc"},
-    {"bad_metrics_purity.cc", "metrics-purity", "src/metrics/fix.cc"},
+    {"bad_xray_int.cc", "telemetry-purity", "src/xray/fix.cc"},
+    {"bad_metrics_purity.cc", "telemetry-purity", "src/metrics/fix.cc"},
     {"bad_loose_hotness_key.cc", "loose-hotness-key", "tests/fix.cc"},
     {"bad_retired_api.cc", "retired-api", "src/fix.cc"},
     {"bad_soa_field_write.cc", "soa-field-write", "src/fix.cc"},
 };
 
-TEST(Analyze, CatalogHasFourteenRules)
+TEST(Analyze, CatalogHasTwelveRules)
 {
-    EXPECT_EQ(ruleIds().size(), 14u);
+    EXPECT_EQ(ruleIds().size(), 12u);
     // Every fixture case names a cataloged rule.
     for (const Case &c : kCases) {
         EXPECT_NE(std::find(ruleIds().begin(), ruleIds().end(),
@@ -152,24 +152,59 @@ TEST(Analyze, SuppressionCommentsSilenceFindings)
     }
 }
 
+/** "line:col" of every finding of `rule`, in report order. */
+std::vector<std::string>
+positions(const std::vector<Finding> &fs, const std::string &rule)
+{
+    std::vector<std::string> out;
+    for (const Finding &f : fs) {
+        if (f.rule == rule)
+            out.push_back(std::to_string(f.line) + ":" +
+                          std::to_string(f.col));
+    }
+    return out;
+}
+
+TEST(Analyze, TelemetryPurityFiresAtPinnedLines)
+{
+    // The one table-driven rule reports exactly what the three
+    // per-layer rules it replaced did (telemetry-purity, xray-int,
+    // metrics-purity), at the same positions.
+    using V = std::vector<std::string>;
+    EXPECT_EQ(positions(analyzeFixture("bad_telemetry_purity.cc",
+                                       "src/fix.cc"),
+                        "telemetry-purity"),
+              (V{"12:12", "15:16"}));
+    EXPECT_EQ(positions(analyzeFixture("bad_xray_int.cc",
+                                       "src/xray/fix.cc"),
+                        "telemetry-purity"),
+              (V{"3:1", "7:35", "8:39"}));
+    EXPECT_EQ(positions(analyzeFixture("bad_metrics_purity.cc",
+                                       "src/metrics/fix.cc"),
+                        "telemetry-purity"),
+              (V{"9:1", "13:37", "14:41", "21:12", "24:16"}));
+}
+
 TEST(Analyze, PathScopingConfinesRules)
 {
-    // xray-int only runs under src/xray/; loose-hotness-key only under
-    // the harness trees (tests/bench/examples).
+    // telemetry-purity's float/double ban only runs under the
+    // integer-only layers (src/xray, src/metrics); its guard and
+    // observation-block checks still fire anywhere in src.
+    // loose-hotness-key only runs under the harness trees
+    // (tests/bench/examples).
     const auto xf =
         analyzeFixture("bad_xray_int.cc", "src/guestos/fix.cc");
-    EXPECT_FALSE(hasRule(xf, "xray-int"));
-    // metrics-purity's float/double leg only fires under src/metrics;
-    // the guard/observation-block legs still fire anywhere in src.
+    EXPECT_FALSE(hasRule(xf, "telemetry-purity"));
     const auto mf =
         analyzeFixture("bad_metrics_purity.cc", "src/guestos/fix.cc");
     for (const Finding &f : mf) {
-        if (f.rule == "metrics-purity") {
+        if (f.rule == "telemetry-purity") {
             EXPECT_EQ(f.excerpt.find("double"), std::string::npos)
                 << "float ban escaped src/metrics scoping";
         }
     }
-    EXPECT_TRUE(hasRule(mf, "metrics-purity"));
+    EXPECT_EQ(positions(mf, "telemetry-purity"),
+              (std::vector<std::string>{"21:12", "24:16"}));
     const auto lf =
         analyzeFixture("bad_loose_hotness_key.cc", "src/fix.cc");
     EXPECT_FALSE(hasRule(lf, "loose-hotness-key"));

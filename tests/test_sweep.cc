@@ -1,8 +1,8 @@
 /**
  * @file
  * Scenario & Sweep API: JSON round-trips, cartesian expansion order,
- * the parallel runner's bit-identity guarantee, and per-system trace
- * sink isolation.
+ * the parallel runner's bit-identity guarantee, per-system trace
+ * sink isolation, and the telemetry scope install every layer shares.
  */
 
 #include <gtest/gtest.h>
@@ -14,9 +14,12 @@
 
 #include "core/experiment.hh"
 #include "core/sweep.hh"
+#include "metrics/metrics.hh"
+#include "prof/prof.hh"
 #include "sim/rng.hh"
 #include "test_helpers.hh"
 #include "trace/trace.hh"
+#include "xray/xray.hh"
 
 namespace {
 
@@ -255,13 +258,12 @@ TEST(SweepRunner, ProgressCallbackSeesEveryPoint)
 }
 
 /**
- * Satellite (c): two systems in one process must not interleave trace
- * events. Tracing is per-system opt-in; the global tracer stays cold.
+ * Two systems in one process must not interleave trace events.
+ * Tracing is per-system opt-in; a system that never opts in records
+ * nothing.
  */
 TEST(TraceIsolation, PerSystemSinksDoNotInterleave)
 {
-    const auto global_before = trace::tracer().recorded();
-
     auto traced_spec = tinyBase().withApproach(core::Approach::HeteroLru);
     auto quiet_spec = traced_spec;
 
@@ -280,27 +282,47 @@ TEST(TraceIsolation, PerSystemSinksDoNotInterleave)
         << "the opted-in system captured its own events";
     EXPECT_EQ(quiet->traceSink().recorded(), 0u)
         << "the quiet system stayed quiet";
-    EXPECT_EQ(trace::tracer().recorded(), global_before)
-        << "per-system tracing never leaks into the process tracer";
 }
 
-TEST(TraceIsolation, ScopedSinkNestsAndRestores)
+/**
+ * Every telemetry layer installs its per-thread active object through
+ * the one sim::ScopedActive template: a null install is a no-op and
+ * nested installs restore what was there before. A compiled-out
+ * layer never installs anything.
+ */
+template <typename Scope>
+class TelemetryScope : public ::testing::Test
 {
-    const auto all = static_cast<std::uint32_t>(trace::Category::All);
-    trace::Tracer outer, inner;
-    outer.enable(all);
-    inner.enable(all);
+};
+
+/** Instance order (ctest suffix <0>..<3>): trace, prof, xray, metrics. */
+using TelemetryScopes =
+    ::testing::Types<trace::ScopedSink, prof::ScopedProfiler,
+                     xray::ScopedRecorder, metrics::ScopedCollector>;
+TYPED_TEST_SUITE(TelemetryScope, TelemetryScopes);
+
+TYPED_TEST(TelemetryScope, NullIsNoOpAndNestedInstallsRestore)
+{
+    using Scope = TypeParam;
+    typename Scope::Target outer, inner;
+    auto *const want_outer = Scope::compiled ? &outer : nullptr;
+    auto *const want_inner = Scope::compiled ? &inner : nullptr;
+
+    ASSERT_EQ(Scope::active(), nullptr);
     {
-        trace::ScopedSink a(&outer);
-        trace::emit(trace::EventType::PageAlloc, 1);
+        Scope a(&outer);
+        EXPECT_EQ(Scope::active(), want_outer);
         {
-            trace::ScopedSink b(&inner);
-            trace::emit(trace::EventType::PageAlloc, 2);
+            Scope none(nullptr);
+            EXPECT_EQ(Scope::active(), want_outer);
         }
-        trace::emit(trace::EventType::PageAlloc, 3);
+        {
+            Scope b(&inner);
+            EXPECT_EQ(Scope::active(), want_inner);
+        }
+        EXPECT_EQ(Scope::active(), want_outer);
     }
-    EXPECT_EQ(outer.recorded(), 2u);
-    EXPECT_EQ(inner.recorded(), 1u);
+    EXPECT_EQ(Scope::active(), nullptr);
 }
 
 } // namespace

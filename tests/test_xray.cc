@@ -286,9 +286,8 @@ TEST(Xray, ReportRoundTripsThroughJson)
 
 TEST(Xray, InactiveRecorderSeesNothing)
 {
-    // Without a ScopedRecorder install (and with no process-global
-    // recorder enabled), the hooks must be dead: a full guest
-    // lifecycle leaves a fresh recorder empty.
+    // Without a ScopedRecorder install the hooks are dead: a full
+    // guest lifecycle leaves a fresh recorder empty.
     xray::Recorder rec;
     {
         auto kernel = test::standaloneGuest(8 * mem::mib, 32 * mem::mib);

@@ -15,8 +15,7 @@ const std::vector<std::string> kRuleIds = {
     "unordered-iter",   "ptr-key-ordered",   "ptr-hash",
     "raw-assert",       "naked-new",         "wall-clock",
     "charge-span",      "tier-xray",         "telemetry-purity",
-    "xray-int",         "metrics-purity",    "loose-hotness-key",
-    "retired-api",      "soa-field-write",
+    "loose-hotness-key", "retired-api",      "soa-field-write",
 };
 
 const std::array<const char *, 4> kUnorderedContainers = {
@@ -30,6 +29,26 @@ const std::array<const char *, 14> kMutators = {
     "mapPage",       "evictPage",       "populatePages",
     "unpopulatePages", "schedulePeriodic", "migrateBatch",
     "promoteWithEviction", "demotePage"};
+
+/**
+ * One telemetry layer as telemetry-purity sees it: the directory whose
+ * files must be integer-only (when `integer_only`), the compile-level
+ * guard macro whose regions must not mutate sim state, and the
+ * namespace of its `ns::active()` observation blocks (nullptr when
+ * the layer has none). Guards and blocks are checked anywhere in src.
+ */
+struct TelemetryLayer {
+    const char *dir;
+    const char *guard;
+    const char *active_ns;
+    bool integer_only;
+};
+const std::array<TelemetryLayer, 4> kTelemetryLayers = {{
+    {"src/prof/", "HOS_PROF_LEVEL", nullptr, false},
+    {"src/xray/", "HOS_XRAY_LEVEL", "xray", true},
+    {"src/metrics/", "HOS_METRICS_LEVEL", "metrics", true},
+    {"src/check/", "HOS_CHECK_LEVEL", nullptr, false},
+}};
 
 struct LooseKey {
     const char *key;
@@ -353,10 +372,6 @@ class FileAnalysis
             tierXray();
         if (on("telemetry-purity"))
             telemetryPurity();
-        if (on("xray-int"))
-            xrayInt();
-        if (on("metrics-purity"))
-            metricsPurity();
         if (on("loose-hotness-key"))
             looseHotnessKey();
         if (on("retired-api"))
@@ -809,44 +824,73 @@ class FileAnalysis
                kMutators.end();
     }
 
+    /** The `ns::active()` namespace an `if` condition tests, or
+     *  nullptr when the condition is no observation block. */
+    const char *observedLayer(std::size_t open, std::size_t close) const
+    {
+        const TokVec &t = ts();
+        for (std::size_t k = open + 1; k + 2 < close; ++k) {
+            if (!isPunct(t[k + 1], "::") || !isIdent(t[k + 2], "active"))
+                continue;
+            for (const TelemetryLayer &l : kTelemetryLayers) {
+                if (l.active_ns != nullptr && isIdent(t[k], l.active_ns))
+                    return l.active_ns;
+            }
+        }
+        return nullptr;
+    }
+
+    /**
+     * Telemetry observes the run, it never steers it, so the
+     * telemetry-off build stays byte-identical: no mutating call under
+     * a layer's level guard or inside its `ns::active()` observation
+     * block, and no floating point in an integer-only layer (reports
+     * must serialize bit-identically across build flags).
+     */
     void telemetryPurity()
     {
         const TokVec &t = ts();
-        // (a) preprocessor-guarded telemetry regions
+        for (const TelemetryLayer &l : kTelemetryLayers) {
+            if (!l.integer_only || !startsWith(f_.path, l.dir))
+                continue;
+            for (const Token &tok : t) {
+                if (tok.kind == Token::Kind::Ident &&
+                    (tok.text == "float" || tok.text == "double")) {
+                    emit("telemetry-purity", tok,
+                         std::string(l.dir) +
+                             " is integer-only: floating point breaks "
+                             "bit-identical report serialization; use "
+                             "ticks, counts, ppm or basis points");
+                }
+            }
+        }
         for (std::size_t i = 0; i + 1 < t.size(); ++i) {
             if (t[i].kind != Token::Kind::Ident ||
                 !bannedMutator(t[i].text) || !isPunct(t[i + 1], "(")) {
                 continue;
             }
-            if (f_.guardMentions(t[i], "HOS_XRAY_LEVEL") ||
-                f_.guardMentions(t[i], "HOS_PROF_LEVEL") ||
-                f_.guardMentions(t[i], "HOS_CHECK_LEVEL")) {
+            for (const TelemetryLayer &l : kTelemetryLayers) {
+                if (!f_.guardMentions(t[i], l.guard))
+                    continue;
                 emit("telemetry-purity", t[i],
-                     "mutating call '" + t[i].text +
-                         "()' inside a telemetry-level guard: the "
-                         "telemetry-off build would behave "
+                     "mutating call '" + t[i].text + "()' inside a " +
+                         l.guard +
+                         " guard: the telemetry-off build would behave "
                          "differently");
+                break;
             }
         }
-        // (b) `if (... xray::active() ...) { ... }` observation blocks
         for (std::size_t i = 0; i + 1 < t.size(); ++i) {
             if (!isIdent(t[i], "if") || !isPunct(t[i + 1], "("))
                 continue;
             const std::size_t close = matchForward(t, i + 1, "(", ")");
-            if (close >= t.size())
+            if (close + 1 >= t.size())
                 continue;
-            bool is_xray_cond = false;
-            for (std::size_t k = i + 2; k + 2 < close; ++k) {
-                if (isIdent(t[k], "xray") && isPunct(t[k + 1], "::") &&
-                    isIdent(t[k + 2], "active")) {
-                    is_xray_cond = true;
-                    break;
-                }
-            }
-            if (!is_xray_cond || close + 1 >= t.size())
+            const char *ns = observedLayer(i + 1, close);
+            if (ns == nullptr)
                 continue;
             std::size_t body_end;
-            std::size_t body_begin = close + 1;
+            const std::size_t body_begin = close + 1;
             if (isPunct(t[body_begin], "{")) {
                 body_end = matchForward(t, body_begin, "{", "}");
             } else {
@@ -863,103 +907,9 @@ class FileAnalysis
                     isPunct(t[k + 1], "(")) {
                     emit("telemetry-purity", t[k],
                          "mutating call '" + t[k].text +
-                             "()' inside an xray::active() "
-                             "observation block: telemetry must "
-                             "observe decisions, never make them");
-                }
-            }
-        }
-    }
-
-    void xrayInt()
-    {
-        const TokVec &t = ts();
-        for (const Token &tok : t) {
-            if (tok.kind == Token::Kind::Ident &&
-                (tok.text == "float" || tok.text == "double")) {
-                emit("xray-int", tok,
-                     "src/xray is integer-only: floating point "
-                     "introduces rounding that varies across "
-                     "build flags; use fixed-point (basis points)");
-            }
-        }
-    }
-
-    /**
-     * hos::metrics purity: the collector is integer-only (reports
-     * must serialize bit-identically across build flags) and its
-     * observation regions must never steer the simulation (the
-     * metrics-off results.json byte-identity gate depends on it).
-     */
-    void metricsPurity()
-    {
-        const TokVec &t = ts();
-        // (a) float/double anywhere under src/metrics.
-        if (startsWith(f_.path, "src/metrics/")) {
-            for (const Token &tok : t) {
-                if (tok.kind == Token::Kind::Ident &&
-                    (tok.text == "float" || tok.text == "double")) {
-                    emit("metrics-purity", tok,
-                         "src/metrics is integer-only: floating point "
-                         "breaks bit-identical report serialization; "
-                         "use ticks, counts, or ppm ratios");
-                }
-            }
-        }
-        // (b) mutating sim-state calls inside HOS_METRICS_LEVEL
-        // preprocessor guards.
-        for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-            if (t[i].kind != Token::Kind::Ident ||
-                !bannedMutator(t[i].text) || !isPunct(t[i + 1], "(")) {
-                continue;
-            }
-            if (f_.guardMentions(t[i], "HOS_METRICS_LEVEL")) {
-                emit("metrics-purity", t[i],
-                     "mutating call '" + t[i].text +
-                         "()' inside a HOS_METRICS_LEVEL guard: the "
-                         "metrics-off build would behave differently");
-            }
-        }
-        // (c) `if (... metrics::active() ...) { ... }` observation
-        // blocks — sampling must be read-only.
-        for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-            if (!isIdent(t[i], "if") || !isPunct(t[i + 1], "("))
-                continue;
-            const std::size_t close = matchForward(t, i + 1, "(", ")");
-            if (close >= t.size())
-                continue;
-            bool is_metrics_cond = false;
-            for (std::size_t k = i + 2; k + 2 < close; ++k) {
-                if (isIdent(t[k], "metrics") &&
-                    isPunct(t[k + 1], "::") &&
-                    isIdent(t[k + 2], "active")) {
-                    is_metrics_cond = true;
-                    break;
-                }
-            }
-            if (!is_metrics_cond || close + 1 >= t.size())
-                continue;
-            std::size_t body_end;
-            std::size_t body_begin = close + 1;
-            if (isPunct(t[body_begin], "{")) {
-                body_end = matchForward(t, body_begin, "{", "}");
-            } else {
-                body_end = body_begin;
-                while (body_end < t.size() &&
-                       !isPunct(t[body_end], ";")) {
-                    ++body_end;
-                }
-            }
-            for (std::size_t k = body_begin;
-                 k < std::min(body_end, t.size()); ++k) {
-                if (t[k].kind == Token::Kind::Ident &&
-                    bannedMutator(t[k].text) && k + 1 < t.size() &&
-                    isPunct(t[k + 1], "(")) {
-                    emit("metrics-purity", t[k],
-                         "mutating call '" + t[k].text +
-                             "()' inside a metrics::active() "
-                             "observation block: metrics observes "
-                             "the run, it never steers it");
+                             "()' inside the " + ns +
+                             "::active() observation block: telemetry "
+                             "observes the run, it never steers it");
                 }
             }
         }
@@ -1109,10 +1059,6 @@ ruleAppliesTo(const std::string &rule, const std::string &path)
     const bool in_harness = underDir(path, "tests") ||
                             underDir(path, "bench") ||
                             underDir(path, "examples");
-    if (rule == "xray-int")
-        return startsWith(path, "src/xray/");
-    if (rule == "metrics-purity")
-        return in_src;
     if (rule == "loose-hotness-key")
         return in_harness;
     if (rule == "retired-api")
