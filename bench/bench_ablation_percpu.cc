@@ -29,11 +29,13 @@ allocRate(bool use_percpu, std::uint64_t rounds)
     // Stand-alone guest: donate the pages directly (no VMM).
     for (unsigned nid = 0; nid < kernel.numNodes(); ++nid) {
         auto &node = kernel.node(nid);
-        auto gpfns = kernel.takeUnpopulatedGpfns(nid, node.spanPages());
-        for (guestos::Gpfn pfn : gpfns) {
-            kernel.pageMeta(pfn).setPopulated(true);
-            node.zoneOf(pfn).buddy().addFreeRange(pfn, 1);
+        const auto view =
+            kernel.peekUnpopulatedGpfns(nid, node.spanPages());
+        for (std::uint64_t i = 0; i < view.size(); ++i) {
+            kernel.pageMeta(view[i]).setPopulated(true);
+            node.zoneOf(view[i]).buddy().addFreeRange(view[i], 1);
         }
+        kernel.commitUnpopulatedGpfns(nid, view.size(), view.size());
     }
 
     std::vector<guestos::Gpfn> held;

@@ -204,7 +204,12 @@ parseOptions(int &argc, char **&argv, Options &opt)
             opt.sets.emplace_back(interval.substr(0, eq),
                                   interval.substr(eq + 1));
         } else if (eat("--log-level=", interval)) {
-            sim::setLogLevel(std::atoi(interval.c_str()));
+            std::uint64_t level = 0;
+            if (!sim::flagValue(arg, level, 2)) {
+                usage();
+                return 2;
+            }
+            sim::setLogLevel(static_cast<int>(level));
         } else {
             return rejectFlag(argv[1], "unknown option");
         }

@@ -20,12 +20,15 @@
  *   run_sweep --set=scale=0.1 --axis=approach=od,lru,vmm,coord \
  *             --axis=slow_lat_factor=2,5 --jobs=0
  *
+ * A malformed --jobs or --log-level value exits 2.
+ *
  * Results are bit-identical for any --jobs value: every point is an
  * isolated simulation with a spec-derived seed, so parallelism only
  * changes the wall-clock, never a byte of results.json.
  */
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +36,7 @@
 #include <vector>
 
 #include "core/sweep.hh"
+#include "sim/flags.hh"
 #include "sim/log.hh"
 
 using namespace hos;
@@ -127,10 +131,20 @@ main(int argc, char **argv)
             sweep_file = v;
         } else if (const char *v = value("--results=")) {
             results_file = v;
-        } else if (const char *v = value("--jobs=")) {
-            jobs = static_cast<unsigned>(std::atoi(v));
-        } else if (const char *v = value("--log-level=")) {
-            sim::setLogLevel(std::atoi(v));
+        } else if (value("--jobs=")) {
+            std::uint64_t n = 0;
+            if (!sim::flagValue(arg, n, UINT_MAX)) {
+                usage();
+                return 2;
+            }
+            jobs = static_cast<unsigned>(n);
+        } else if (value("--log-level=")) {
+            std::uint64_t level = 0;
+            if (!sim::flagValue(arg, level, 2)) {
+                usage();
+                return 2;
+            }
+            sim::setLogLevel(static_cast<int>(level));
         } else if (const char *v = value("--set=")) {
             const std::string kv = v;
             const std::size_t eq = kv.find('=');

@@ -28,36 +28,32 @@ BalloonFrontend::bootPopulate(unsigned node_id, std::uint64_t pages)
     hos_assert(backend_ != nullptr, "balloon back-end not attached");
     if (pages == 0)
         return 0;
-    auto gpfns = kernel_.takeUnpopulatedGpfns(node_id, pages);
-    const std::uint64_t granted =
-        backend_->populatePages(node_id, UnpopulatedView(gpfns));
-    hos_assert(granted <= gpfns.size(), "back-end over-granted");
+    // The same peek/commit protocol requestPages uses: the back-end
+    // reads straight off the unpopulated stack.
+    const UnpopulatedView view =
+        kernel_.peekUnpopulatedGpfns(node_id, pages);
+    const std::uint64_t granted = backend_->populatePages(node_id, view);
+    hos_assert(granted <= view.size(), "back-end over-granted");
 
+    // Boot pops ascending gpfns: donate the granted prefix in
+    // contiguous runs, split at zone boundaries.
     NumaNode &node = kernel_.node(node_id);
-    for (std::uint64_t i = 0; i < granted; ++i) {
-        kernel_.pageMeta(gpfns[i]).setPopulated(true);
-        // Boot pages arrive in ascending order; donate them in runs
-        // for fast coalescing.
-    }
-    // Donate the granted prefix to the buddy in contiguous runs
-    // (the boot path pops ascending gpfns), split at zone boundaries.
+    PageArray &meta = kernel_.pages();
     std::uint64_t i = 0;
     while (i < granted) {
-        Zone &z = node.zoneOf(gpfns[i]);
+        const Gpfn first = view[i];
+        Zone &z = node.zoneOf(first);
         const Gpfn zone_end = z.base() + z.spanPages();
         std::uint64_t j = i + 1;
-        while (j < granted && gpfns[j] == gpfns[j - 1] + 1 &&
-               gpfns[j] < zone_end) {
+        while (j < granted && view[j] == first + (j - i) &&
+               view[j] < zone_end) {
             ++j;
         }
-        z.buddy().addFreeRange(gpfns[i], j - i);
+        meta.markPopulated(first, j - i);
+        z.buddy().addFreeRange(first, j - i);
         i = j;
     }
-    if (granted < gpfns.size()) {
-        kernel_.returnUnpopulatedGpfns(
-            node_id, std::vector<Gpfn>(gpfns.begin() + granted,
-                                       gpfns.end()));
-    }
+    kernel_.commitUnpopulatedGpfns(node_id, view.size(), granted);
     for (std::size_t zi = 0; zi < node.numZones(); ++zi)
         node.zone(zi).updateWatermarks();
     populated_[node_id] += granted;

@@ -57,10 +57,15 @@ BuddyAllocator::addFreeRange(Gpfn pfn, std::uint64_t count)
 {
     hos_assert(pfn >= base_ && pfn + count <= base_ + span_pages_,
                "range outside allocator span");
+    for (std::uint64_t i = 0; i < count; ++i) {
+        PageRef p = pages_.page(pfn + i);
+        p.setInBuddy(false);
+        resetFreed(p);
+    }
     managed_pages_ += count;
     // Carve into maximal blocks that are both aligned (relative to
-    // base) and fit in the remaining count, then free them one by one
-    // so coalescing with already-free neighbours happens naturally.
+    // base) and fit in the remaining count, then insert them one by
+    // one so coalescing with already-free neighbours happens naturally.
     while (count > 0) {
         unsigned order = maxOrder - 1;
         while (order > 0 &&
@@ -68,13 +73,7 @@ BuddyAllocator::addFreeRange(Gpfn pfn, std::uint64_t count)
                 (1ull << order) > count)) {
             --order;
         }
-        // Mark allocated so free() passes its sanity checks.
-        for (std::uint64_t i = 0; i < (1ull << order); ++i) {
-            PageRef p = pages_.page(pfn + i);
-            pages_.setAllocated(p, true);
-            p.setInBuddy(false);
-        }
-        free(pfn, order);
+        coalesceInsert(pfn, order);
         pfn += 1ull << order;
         count -= 1ull << order;
     }
@@ -121,15 +120,26 @@ BuddyAllocator::free(Gpfn pfn, unsigned order)
         hos_assert(p.allocated(), "double free of page %llu",
                    static_cast<unsigned long long>(pfn + i));
         hos_assert(!p.in_buddy(), "freeing a page still in buddy");
-        pages_.setAllocated(p, false);
-        p.setType(PageType::Free);
-        p.setDirty(false);
-        p.setReferenced(false);
-        p.setPteAccessed(false);
-        p.setHeat(0); // a recycled frame is not the hot page it backed
-        p.setOwnerProcess(noProcess);
+        resetFreed(p);
     }
+    coalesceInsert(pfn, order);
+}
 
+void
+BuddyAllocator::resetFreed(PageRef p)
+{
+    pages_.setAllocated(p, false);
+    p.setType(PageType::Free);
+    p.setDirty(false);
+    p.setReferenced(false);
+    p.setPteAccessed(false);
+    p.setHeat(0); // a recycled frame is not the hot page it backed
+    p.setOwnerProcess(noProcess);
+}
+
+void
+BuddyAllocator::coalesceInsert(Gpfn pfn, unsigned order)
+{
     // Coalesce upward while the buddy block is free at the same order.
     while (order + 1 < maxOrder) {
         const Gpfn buddy = buddyOf(pfn, order);

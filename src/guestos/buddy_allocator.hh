@@ -44,7 +44,8 @@ class BuddyAllocator
 
     /**
      * Donate [pfn, pfn+count) to the allocator as free memory,
-     * coalescing into maximal aligned blocks.
+     * coalescing into maximal aligned blocks. Each page is first
+     * reset to the state free() leaves it in.
      */
     void addFreeRange(Gpfn pfn, std::uint64_t count);
 
@@ -82,6 +83,13 @@ class BuddyAllocator
     bool blockInRange(Gpfn pfn, unsigned order) const;
     void insertBlock(Gpfn pfn, unsigned order);
     void removeBlock(Gpfn pfn, unsigned order);
+    /**
+     * Put one page in the freed state: unallocated, Free, clean,
+     * unreferenced, PTE-accessed bit clear, heat 0, no owner.
+     */
+    void resetFreed(PageRef p);
+    /** Insert a freed block, merging with free buddies upward. */
+    void coalesceInsert(Gpfn pfn, unsigned order);
 
     PageArray &pages_;
     Gpfn base_;

@@ -38,13 +38,6 @@ class UnpopulatedView
     {
     }
 
-    /** Wrap a plain vector: view[i] == gpfns[i]. */
-    explicit UnpopulatedView(const std::vector<Gpfn> &gpfns)
-        : stack_(gpfns.data()), stack_size_(gpfns.size()),
-          reversed_(gpfns.size()), n_(gpfns.size())
-    {
-    }
-
     std::uint64_t size() const { return n_; }
     bool empty() const { return n_ == 0; }
     Gpfn operator[](std::uint64_t i) const

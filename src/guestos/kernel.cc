@@ -49,39 +49,35 @@ overheadKindName(OverheadKind k)
 
 namespace {
 
-std::uint64_t
-totalMaxPages(const GuestConfig &cfg)
+/** The gpfn-space layout: guest nodes back to back, in config order. */
+std::vector<PageArray::NodeSpan>
+nodeLayout(const GuestConfig &cfg)
 {
-    std::uint64_t n = 0;
+    std::vector<PageArray::NodeSpan> layout;
     for (const auto &nc : cfg.nodes)
-        n += mem::bytesToPages(nc.max_bytes);
-    return n;
+        layout.push_back({mem::bytesToPages(nc.max_bytes), nc.type});
+    return layout;
 }
 
 } // namespace
 
 GuestKernel::GuestKernel(GuestConfig cfg)
     : cfg_(std::move(cfg)), stats_(cfg_.name), rng_(cfg_.seed),
-      tlb_(cfg_.tlb), disk_(cfg_.disk), pages_(totalMaxPages(cfg_))
+      tlb_(cfg_.tlb), disk_(cfg_.disk), pages_(nodeLayout(cfg_))
 {
     hos_assert(!cfg_.nodes.empty(), "guest needs at least one node");
 
     prof::registerCostKindNames(kOverheadNamesForProf,
                                 numOverheadKinds);
 
-    // Lay out nodes back to back in the gpfn space and stamp each
-    // page with its node identity.
+    // Nodes sit back to back in the gpfn space; pages_ already
+    // carries each page's node identity.
     Gpfn base = 0;
     for (unsigned id = 0; id < cfg_.nodes.size(); ++id) {
         const auto &nc = cfg_.nodes[id];
         const std::uint64_t span = mem::bytesToPages(nc.max_bytes);
         nodes_.push_back(std::make_unique<NumaNode>(id, nc.type, pages_,
                                                     base, span));
-        for (Gpfn pfn = base; pfn < base + span; ++pfn) {
-            PageRef p = pages_.page(pfn);
-            p.setNumaNode(static_cast<std::uint8_t>(id));
-            p.setMemType(nc.type);
-        }
         // Every gpfn starts unpopulated; LIFO so low gpfns pop first.
         auto &unpop = unpopulated_.emplace_back();
         unpop.v.reserve(span);
@@ -180,22 +176,6 @@ GuestKernel::allocPageOnNode(unsigned node_id, PageType type,
                     events_.now());
     }
     return pfn;
-}
-
-std::vector<Gpfn>
-GuestKernel::takeUnpopulatedGpfns(unsigned node_id, std::uint64_t n)
-{
-    hos_assert(node_id < unpopulated_.size(), "bad node id");
-    auto &stack = unpopulated_[node_id];
-    stack.materialize();
-    std::vector<Gpfn> out;
-    const std::uint64_t take = std::min<std::uint64_t>(n, stack.size());
-    out.reserve(take);
-    for (std::uint64_t i = 0; i < take; ++i) {
-        out.push_back(stack.v.back());
-        stack.v.pop_back();
-    }
-    return out;
 }
 
 void

@@ -181,16 +181,13 @@ class GuestKernel final : public MmBacking,
                          unsigned cpu = 0);
 
     // --- Balloon bookkeeping --------------------------------------
-    /** Pop up to n unpopulated gpfns of a node for the balloon. */
-    std::vector<Gpfn> takeUnpopulatedGpfns(unsigned node_id,
-                                           std::uint64_t n);
-    /** Return gpfns whose population was refused or undone. */
+    /** Return gpfns whose population was undone (LIFO push). */
     void returnUnpopulatedGpfns(unsigned node_id,
                                 const std::vector<Gpfn> &gpfns);
     /**
      * Zero-copy view of the top `n` unpopulated gpfns of a node, in
-     * the exact order takeUnpopulatedGpfns would pop them. Valid
-     * until the next mutation of the node's stack (commit/take/
+     * the order they pop off the stack (low gpfns first at boot).
+     * Valid until the next mutation of the node's stack (commit/
      * return). Pair with commitUnpopulatedGpfns.
      */
     UnpopulatedView peekUnpopulatedGpfns(unsigned node_id,
@@ -198,10 +195,10 @@ class GuestKernel final : public MmBacking,
     /**
      * Settle a populate attempt made over a peeked view of `peeked`
      * entries whose first `granted` were taken (now populated).
-     * Equivalent to takeUnpopulatedGpfns(peeked) followed by
-     * returning the ungranted tail — including the tail's order
-     * reversal — but O(1) in the common cases (nothing granted, or
-     * a grant against an unreversed top).
+     * Equivalent to popping `peeked` gpfns and then returning the
+     * ungranted tail — including the tail's order reversal — but
+     * O(1) in the common cases (nothing granted, or a grant against
+     * an unreversed top).
      */
     void commitUnpopulatedGpfns(unsigned node_id, std::uint64_t peeked,
                                 std::uint64_t granted);

@@ -145,7 +145,22 @@ class PageArray
     static constexpr std::uint64_t chunkPages = std::uint64_t(1)
                                                 << chunkShift;
 
+    /** One guest NUMA node's slice of the gpfn space. */
+    struct NodeSpan
+    {
+        std::uint64_t pages;
+        mem::MemType type;
+    };
+
+    /** `num_pages` pages of one SlowMem node 0 (unit tests, benches). */
     explicit PageArray(std::uint64_t num_pages);
+
+    /**
+     * Nodes laid out back to back in the gpfn space, node i first at
+     * gpfn sum(layout[0..i).pages). Every page carries its node id
+     * and memory type from this one construction pass.
+     */
+    explicit PageArray(const std::vector<NodeSpan> &layout);
 
     std::uint64_t size() const { return size_; }
 
@@ -159,6 +174,9 @@ class PageArray
         setBit(allocated_, pfn, v);
     }
     inline void setAllocated(const PageRef &p, bool v);
+
+    /** Mark [pfn, pfn+n) populated, a bitmap word at a time. */
+    void markPopulated(Gpfn pfn, std::uint64_t n);
 
     /**
      * Length of the run of unallocated pages starting at `from`,
@@ -273,7 +291,6 @@ class PageRef
 
     // Identity (fixed at boot).
     std::uint8_t numa_node() const { return meta().numa_node; }
-    void setNumaNode(std::uint8_t n) { meta().numa_node = n; }
     mem::MemType mem_type() const { return meta().mem_type; }
     void setMemType(mem::MemType t) { meta().mem_type = t; }
 

@@ -1,7 +1,5 @@
 #include "mem/machine_memory.hh"
 
-#include <algorithm>
-
 #include "sim/log.hh"
 
 namespace hos::mem {
@@ -12,12 +10,8 @@ MachineNode::MachineNode(unsigned node_id, MemType type, MemTierSpec spec,
       mfn_base_(mfn_base), total_frames_(spec.capacityPages())
 {
     hos_assert(total_frames_ > 0, "node must have at least one frame");
-    free_.reserve(total_frames_);
-    // Hand frames out in ascending order: push in reverse so the stack
-    // pops low MFNs first (deterministic, friendlier to inspection).
-    for (std::uint64_t i = total_frames_; i-- > 0;)
-        free_.push_back(mfn_base_ + i);
-    owner_.assign(total_frames_, ownerNone);
+    // Reserved, not filled: pages are touched as frames are handed out.
+    owner_.reserve(total_frames_);
 }
 
 bool
@@ -38,48 +32,42 @@ std::optional<Mfn>
 MachineNode::allocFrame(OwnerId owner)
 {
     hos_assert(owner != ownerNone, "frames need a real owner");
-    if (free_.empty())
+    Mfn mfn;
+    if (!recycled_.empty()) {
+        mfn = recycled_.back();
+        recycled_.pop_back();
+        owner_[indexOf(mfn)] = owner;
+    } else if (owner_.size() < total_frames_) {
+        mfn = mfn_base_ + owner_.size();
+        owner_.push_back(owner);
+    } else {
         return std::nullopt;
-    const Mfn mfn = free_.back();
-    free_.pop_back();
-    owner_[indexOf(mfn)] = owner;
+    }
     if (owner >= owned_count_.size())
         owned_count_.resize(owner + 1, 0);
     ++owned_count_[owner];
     return mfn;
 }
 
-std::vector<Mfn>
-MachineNode::allocFrames(OwnerId owner, std::uint64_t n)
-{
-    std::vector<Mfn> out;
-    out.reserve(std::min<std::uint64_t>(n, free_.size()));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        auto mfn = allocFrame(owner);
-        if (!mfn)
-            break;
-        out.push_back(*mfn);
-    }
-    return out;
-}
-
 void
 MachineNode::freeFrame(Mfn mfn)
 {
     const std::size_t idx = indexOf(mfn);
-    hos_assert(owner_[idx] != ownerNone, "double free of MFN %llu",
+    hos_assert(idx < owner_.size() && owner_[idx] != ownerNone,
+               "double free of MFN %llu",
                static_cast<unsigned long long>(mfn));
     const OwnerId owner = owner_[idx];
     hos_assert(owned_count_[owner] > 0, "owner accounting underflow");
     --owned_count_[owner];
     owner_[idx] = ownerNone;
-    free_.push_back(mfn);
+    recycled_.push_back(mfn);
 }
 
 OwnerId
 MachineNode::frameOwner(Mfn mfn) const
 {
-    return owner_[indexOf(mfn)];
+    const std::size_t idx = indexOf(mfn);
+    return idx < owner_.size() ? owner_[idx] : ownerNone;
 }
 
 std::uint64_t

@@ -53,17 +53,21 @@ class MachineNode
     const MemDevice &device() const { return device_; }
 
     std::uint64_t totalFrames() const { return total_frames_; }
-    std::uint64_t freeFrames() const { return free_.size(); }
-    std::uint64_t usedFrames() const { return total_frames_ - free_.size(); }
+    std::uint64_t freeFrames() const
+    {
+        return recycled_.size() + (total_frames_ - owner_.size());
+    }
+    std::uint64_t usedFrames() const { return total_frames_ - freeFrames(); }
 
     Mfn mfnBase() const { return mfn_base_; }
     bool containsMfn(Mfn mfn) const;
 
-    /** Allocate one frame for `owner`; nullopt when exhausted. */
+    /**
+     * Allocate one frame for `owner`; nullopt when exhausted. Freed
+     * frames come back LIFO before any never-used frame; never-used
+     * frames come out in ascending MFN order.
+     */
     std::optional<Mfn> allocFrame(OwnerId owner);
-
-    /** Allocate up to `n` frames; returns what was available. */
-    std::vector<Mfn> allocFrames(OwnerId owner, std::uint64_t n);
 
     /** Return a frame. Panics on double-free or foreign MFN. */
     void freeFrame(Mfn mfn);
@@ -83,7 +87,14 @@ class MachineNode
     MemDevice device_;
     Mfn mfn_base_;
     std::uint64_t total_frames_;
-    std::vector<Mfn> free_;
+    /** Freed frames, reused LIFO. */
+    std::vector<Mfn> recycled_;
+    /**
+     * Owner of every frame handed out so far. Frames leave the fresh
+     * pool in ascending order, so owner_.size() is the fresh cursor:
+     * frame mfn_base_ + owner_.size() is the next never-used one, and
+     * construction writes nothing per frame.
+     */
     std::vector<OwnerId> owner_;
     std::vector<std::uint64_t> owned_count_;
 };

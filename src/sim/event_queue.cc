@@ -154,14 +154,24 @@ EventQueue::schedulePeriodic(Duration period,
                              std::function<Duration(Duration)> action)
 {
     hos_assert(period > 0, "periodic event needs a nonzero period");
-    // The shared_ptr lets the rescheduling lambda refer to itself.
-    auto self = std::make_shared<std::function<void(Duration)>>();
-    *self = [this, action = std::move(action), self](Duration cur) {
-        const Duration next = action(cur);
+    armPeriodic(
+        std::make_shared<std::function<Duration(Duration)>>(
+            std::move(action)),
+        period);
+}
+
+void
+EventQueue::armPeriodic(
+    std::shared_ptr<std::function<Duration(Duration)>> action,
+    Duration delay)
+{
+    // Only the pending occurrence owns the action, so destroying the
+    // queue (or stopping the period) releases it and its captures.
+    scheduleAfter(delay, [this, action = std::move(action), delay] {
+        const Duration next = (*action)(delay);
         if (next > 0)
-            scheduleAfter(next, [self, next] { (*self)(next); });
-    };
-    scheduleAfter(period, [self, period] { (*self)(period); });
+            armPeriodic(action, next);
+    });
 }
 
 void

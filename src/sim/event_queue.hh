@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -92,6 +93,11 @@ class EventQueue
     {
         return bits >= 64 ? 0 : x >> bits;
     }
+
+    /** Schedule one occurrence of a periodic action `delay` from now. */
+    void armPeriodic(
+        std::shared_ptr<std::function<Duration(Duration)>> action,
+        Duration delay);
 
     std::uint32_t allocNode();
     void freeNode(std::uint32_t idx);

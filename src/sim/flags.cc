@@ -57,13 +57,15 @@ parseNonNegative(const std::string &text, double &out)
 }
 
 bool
-flagValue(const std::string &arg, std::uint64_t &out)
+flagValue(const std::string &arg, std::uint64_t &out, std::uint64_t max)
 {
-    if (parseUnsigned(valueOf(arg), out))
+    std::uint64_t v = 0;
+    if (parseUnsigned(valueOf(arg), v) && v <= max) {
+        out = v;
         return true;
-    std::fprintf(stderr,
-                 "bad value in '%s' (want a non-negative integer)\n",
-                 arg.c_str());
+    }
+    std::fprintf(stderr, "bad value in '%s' (want an integer in 0..%llu)\n",
+                 arg.c_str(), static_cast<unsigned long long>(max));
     return false;
 }
 

@@ -26,10 +26,13 @@ bool parseUnsigned(const std::string &text, std::uint64_t &out);
 bool parseNonNegative(const std::string &text, double &out);
 
 /**
- * Parse the VALUE of `arg` = "--name=VALUE" strictly. On failure,
- * prints "bad value in '<arg>'" with the wanted form to stderr.
+ * Parse the VALUE of `arg` = "--name=VALUE" strictly, and for
+ * integers also reject values above `max`. On failure, prints "bad
+ * value in '<arg>'" with the wanted form to stderr and leaves `out`
+ * untouched.
  */
-bool flagValue(const std::string &arg, std::uint64_t &out);
+bool flagValue(const std::string &arg, std::uint64_t &out,
+               std::uint64_t max = UINT64_MAX);
 bool flagValue(const std::string &arg, double &out);
 
 /** Levenshtein distance (insert, delete, substitute: cost 1 each). */

@@ -180,21 +180,22 @@ Vmm::populatePages(VmContext &vm, unsigned guest_node,
             break;
 
         mem::MachineNode &node = machine_.nodeByType(tier);
-        auto frames = node.allocFrames(vm.owner(), approved);
-        if (frames.empty())
-            break;
-        for (mem::Mfn mfn : frames) {
+        std::uint64_t got = 0;
+        for (; got < approved; ++got) {
+            const auto mfn = node.allocFrame(vm.owner());
+            if (!mfn)
+                break;
             // Populate, not a retarget: the guest rings xray via
             // onAlloc when it hands the frame out, and the recorder
             // skips frames it is not tracking.
             // hos-analyze: tier-xray (populate; guest onAlloc rings)
-            vm.p2m_.set(gpfns[idx], mfn, tier);
+            vm.p2m_.set(gpfns[idx], *mfn, tier);
             if (tier == mem::MemType::FastMem)
                 vm.fast_backed_.insert(gpfns[idx]);
             ++idx;
-            ++granted_total;
         }
-        if (frames.size() < approved)
+        granted_total += got;
+        if (got < approved)
             break; // tier genuinely drained mid-request
     }
     trace::emit(trace::EventType::HypercallPopulate,
@@ -222,12 +223,6 @@ Vmm::unpopulatePages(VmContext &vm, unsigned guest_node,
     trace::emit(trace::EventType::HypercallUnpopulate,
                 vm.kernel_.events().now(), guest_node, gpfns.size(), 0,
                 0, static_cast<std::uint16_t>(vm.id()));
-}
-
-std::vector<mem::Mfn>
-Vmm::allocFrames(VmContext &vm, mem::MemType t, std::uint64_t n)
-{
-    return machine_.nodeByType(t).allocFrames(vm.owner(), n);
 }
 
 std::uint64_t

@@ -42,6 +42,25 @@ TEST(Flags, ParseNonNegativeIsStrict)
         EXPECT_FALSE(sim::parseNonNegative(bad, v)) << "'" << bad << "'";
 }
 
+TEST(Flags, FlagValueHonoursItsBound)
+{
+    // run_sweep --jobs= (bound UINT_MAX) and --log-level= (bound 2).
+    std::uint64_t v = 7;
+    EXPECT_TRUE(sim::flagValue("--jobs=0", v, 0xffffffffu));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(sim::flagValue("--log-level=2", v, 2));
+    EXPECT_EQ(v, 2u);
+    v = 7;
+    for (const char *bad : {"--jobs=abc", "--jobs=-1", "--jobs=",
+                            "--jobs=4294967296"}) {
+        EXPECT_FALSE(sim::flagValue(bad, v, 0xffffffffu)) << bad;
+        EXPECT_EQ(v, 7u) << bad;
+    }
+    EXPECT_FALSE(sim::flagValue("--log-level=3", v, 2));
+    EXPECT_FALSE(sim::flagValue("--log-level=abc", v, 2));
+    EXPECT_EQ(v, 7u);
+}
+
 TEST(Flags, NearestFlagComparesNamesWithoutValues)
 {
     const std::vector<const char *> known = {"--run=", "--vm=",

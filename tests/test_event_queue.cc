@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -188,6 +189,37 @@ TEST(EventQueue, PastEventsClampToNow)
     q.schedule(10, [&] { fired = true; });
     q.runUntil(50);
     EXPECT_TRUE(fired);
+}
+
+TEST(EventQueue, PeriodicActionIsReleasedWithItsQueue)
+{
+    // The action's captures live exactly as long as its next pending
+    // occurrence: destroying the queue, clearing it, or the action
+    // returning 0 releases them (no self-owning closure).
+    auto sentinel = std::make_shared<int>(0);
+    {
+        EventQueue q;
+        q.schedulePeriodic(10, [s = sentinel](Duration p) {
+            ++*s;
+            return p;
+        });
+        q.runUntil(35);
+        EXPECT_EQ(*sentinel, 3);
+        EXPECT_GT(sentinel.use_count(), 1);
+    }
+    EXPECT_EQ(sentinel.use_count(), 1);
+
+    EventQueue q;
+    q.schedulePeriodic(10, [s = sentinel](Duration p) { return p; });
+    q.clear();
+    EXPECT_EQ(sentinel.use_count(), 1);
+
+    q.schedulePeriodic(10, [s = sentinel](Duration) -> Duration {
+        return 0;
+    });
+    q.runUntil(100);
+    EXPECT_EQ(q.pending(), 0u);
+    EXPECT_EQ(sentinel.use_count(), 1);
 }
 
 TEST(EventQueue, ClearDropsPending)

@@ -32,11 +32,13 @@ threeTierGuest()
     auto kernel = std::make_unique<GuestKernel>(cfg);
     for (unsigned nid = 0; nid < kernel->numNodes(); ++nid) {
         auto &node = kernel->node(nid);
-        auto gpfns = kernel->takeUnpopulatedGpfns(nid, node.spanPages());
-        for (Gpfn pfn : gpfns) {
-            kernel->pageMeta(pfn).setPopulated(true);
-            node.zoneOf(pfn).buddy().addFreeRange(pfn, 1);
+        const auto view =
+            kernel->peekUnpopulatedGpfns(nid, node.spanPages());
+        for (std::uint64_t i = 0; i < view.size(); ++i) {
+            kernel->pageMeta(view[i]).setPopulated(true);
+            node.zoneOf(view[i]).buddy().addFreeRange(view[i], 1);
         }
+        kernel->commitUnpopulatedGpfns(nid, view.size(), view.size());
         for (std::size_t zi = 0; zi < node.numZones(); ++zi)
             node.zone(zi).updateWatermarks();
     }

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "guestos/kernel.hh"
 #include "mem/machine_memory.hh"
 #include "vmm/vmm.hh"
@@ -13,6 +16,7 @@
 namespace {
 
 using namespace hos;
+using guestos::Gpfn;
 
 struct VmmFixture : ::testing::Test
 {
@@ -146,6 +150,83 @@ TEST_F(VmmFixture, HiddenVmSpillsToFastWhenSlowDrains)
               mem::bytesToPages(4 * mem::mib));
     EXPECT_EQ(vm.fastBacked().size(),
               mem::bytesToPages(4 * mem::mib));
+}
+
+/** Block heads of one free list, head to tail. */
+std::vector<Gpfn>
+freeListBlocks(const guestos::PageArray &pages, const guestos::PageList &l)
+{
+    std::vector<Gpfn> out;
+    for (Gpfn pfn = l.head(); pfn != guestos::invalidGpfn;
+         pfn = pages.page(pfn).link_next()) {
+        out.push_back(pfn);
+    }
+    return out;
+}
+
+TEST_F(VmmFixture, BootDonationMatchesAddFreeRange)
+{
+    // Odd sizes end the carve in small blocks, and the SlowMem
+    // reservation spills from the DMA zone into the Normal zone.
+    guestos::GuestKernel guest(guestCfg(4 * mem::mib + 13 * mem::pageSize,
+                                        24 * mem::mib + 5 * mem::pageSize));
+    hypervisor->registerVm(guest, {});
+    for (unsigned nid = 0; nid < guest.numNodes(); ++nid) {
+        const guestos::NumaNode &node = guest.node(nid);
+        const Gpfn booted_end =
+            node.base() +
+            mem::bytesToPages(guest.config().nodes[nid].initial_bytes);
+        for (std::size_t zi = 0; zi < node.numZones(); ++zi) {
+            const guestos::BuddyAllocator &got = node.zone(zi).buddy();
+            guestos::PageArray pages(guest.pages().size());
+            guestos::BuddyAllocator want(pages, got.base(), got.spanPages());
+            const Gpfn end =
+                std::min(booted_end, got.base() + got.spanPages());
+            if (end > got.base())
+                want.addFreeRange(got.base(), end - got.base());
+            EXPECT_EQ(got.managedPages(), want.managedPages());
+            EXPECT_EQ(got.freePages(), want.freePages());
+            for (unsigned o = 0; o < guestos::BuddyAllocator::maxOrder;
+                 ++o) {
+                EXPECT_EQ(freeListBlocks(guest.pages(), got.freeList(o)),
+                          freeListBlocks(pages, want.freeList(o)))
+                    << "node " << nid << " zone " << zi << " order " << o;
+            }
+        }
+    }
+}
+
+TEST_F(VmmFixture, DonatedPagesReadDefaults)
+{
+    guestos::GuestKernel guest(guestCfg(4 * mem::mib, 24 * mem::mib));
+    hypervisor->registerVm(guest, {});
+    for (unsigned nid = 0; nid < guest.numNodes(); ++nid) {
+        const guestos::NumaNode &node = guest.node(nid);
+        const Gpfn booted_end =
+            node.base() +
+            mem::bytesToPages(guest.config().nodes[nid].initial_bytes);
+        for (Gpfn pfn = node.base(); pfn < node.base() + node.spanPages();
+             ++pfn) {
+            const guestos::PageRef p = guest.pages().page(pfn);
+            ASSERT_EQ(p.numa_node(), nid) << pfn;
+            ASSERT_EQ(p.mem_type(), node.memType()) << pfn;
+            ASSERT_EQ(p.type(), guestos::PageType::Free) << pfn;
+            ASSERT_EQ(p.heat(), 0u) << pfn;
+            ASSERT_EQ(p.owner_process(), guestos::noProcess) << pfn;
+            ASSERT_FALSE(p.allocated() || p.dirty() || p.referenced() ||
+                         p.pte_accessed() || p.under_io() ||
+                         p.unevictable())
+                << pfn;
+            ASSERT_EQ(p.lru(), guestos::LruState::None) << pfn;
+            ASSERT_EQ(p.populated(), pfn < booted_end) << pfn;
+            // Only block heads sit on a free list.
+            ASSERT_EQ(p.on_list(), p.in_buddy() ? guestos::listBuddy
+                                                : guestos::listNone)
+                << pfn;
+        }
+        EXPECT_EQ(node.freePages(),
+                  mem::bytesToPages(guest.config().nodes[nid].initial_bytes));
+    }
 }
 
 TEST_F(VmmFixture, TwoVmsShareThePool)
